@@ -18,7 +18,7 @@ import (
 // determinism statement to a data-race-freedom one: any kernel structure a
 // guarded window touches concurrently without confinement shows up here.
 func TestEpochWorkerNeutrality(t *testing.T) {
-	for _, tc := range shardCases() {
+	for _, tc := range exportCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(shards, workers int) []byte {
 				opt := tc.opt
@@ -29,7 +29,7 @@ func TestEpochWorkerNeutrality(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out := shardExports(t, res)
+				out := runExports(t, res)
 				events, dropped := opt.Recorder.Dump()
 				var b bytes.Buffer
 				fmt.Fprintf(&b, "recorder dropped=%d\n", dropped)
@@ -57,11 +57,11 @@ func TestEpochWorkerNeutrality(t *testing.T) {
 // ticks and wake deliveries running concurrently), or worker neutrality
 // holds trivially because everything serialized.
 func TestEpochWorkersActuallyWindow(t *testing.T) {
-	opt := shardCases()[0].opt
+	opt := exportCases()[0].opt
 	opt.Shards = 4
 	opt.Workers = 2
 	opt.CollectShardStats = true
-	res, err := Run(shardCases()[0].spec(), opt)
+	res, err := Run(exportCases()[0].spec(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestEpochWorkersActuallyWindow(t *testing.T) {
 // still carries everything unroutable — closures, periodics, stale wakes —
 // so the bound is a hotspot detector, not an exact-balance assertion.
 func TestLaneDispatchBalance(t *testing.T) {
-	for _, tc := range shardCases() {
+	for _, tc := range exportCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt
 			opt.Shards = 4

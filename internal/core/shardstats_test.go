@@ -39,7 +39,7 @@ func TestShardStatsNeutral(t *testing.T) {
 	if base.ShardStats != nil {
 		t.Fatal("stats collected without CollectShardStats")
 	}
-	want := shardExports(t, base)
+	want := runExports(t, base)
 
 	var total uint64
 	for _, shards := range []int{0, 1, 2, 4} {
@@ -49,7 +49,7 @@ func TestShardStatsNeutral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := shardExports(t, res); !bytes.Equal(want, got) {
+		if got := runExports(t, res); !bytes.Equal(want, got) {
 			t.Fatalf("shards=%d: collecting stats perturbed the simulation\nfirst divergence: %s",
 				shards, firstDiff(want, got))
 		}
