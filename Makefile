@@ -2,11 +2,10 @@ GO ?= go
 
 # Tier-1 verification plus formatting, the race detector, and benchmark
 # smoke runs. `make ci` is what a CI job should run.
-.PHONY: ci fmt-check vet lint lint-confinement build test race fault-smoke \
-	bench-smoke obs-bench-smoke obs-shard-smoke epoch-smoke serve-smoke \
-	serve-bench bench bench-json bench-json-smoke
+.PHONY: ci fmt-check vet lint build test race fault-smoke bench-smoke \
+	obs-bench-smoke serve-smoke serve-bench bench bench-json bench-json-smoke
 
-ci: fmt-check vet lint build race fault-smoke bench-smoke obs-bench-smoke obs-shard-smoke epoch-smoke serve-smoke bench-json-smoke
+ci: fmt-check vet lint build race fault-smoke bench-smoke obs-bench-smoke serve-smoke bench-json-smoke
 
 # gofmt -l prints nonconforming files; any output fails the target.
 fmt-check:
@@ -17,33 +16,14 @@ vet:
 	$(GO) vet ./...
 
 # numalint: the domain-specific checks go vet cannot know about —
-# determinism, hot-path allocation-freedom, tracer guarding, fault purity,
-# and the whole-program lane-confinement proof. Exits non-zero on any
-# finding; see internal/lint and README. The elapsed time is printed so a
-# `make ci` log records what the whole-program analysis costs.
+# determinism, hot-path allocation-freedom, tracer guarding, and fault
+# purity. Exits non-zero on any finding; see internal/lint and README. The
+# elapsed time is printed so a `make ci` log records what the analysis costs.
 lint:
 	@t0=$$(date +%s); \
-	$(GO) run ./cmd/numalint ./... && \
-	$(MAKE) --no-print-directory lint-confinement; \
+	$(GO) run ./cmd/numalint ./...; \
 	rc=$$?; t1=$$(date +%s); \
 	echo "lint: $$((t1-t0))s"; exit $$rc
-
-# lint-confinement: regenerate the machine-readable confinement report and
-# diff it against the checked-in golden, so any change to what is proven
-# lane-confined shows up in review. UPDATE=1 rewrites the golden (same
-# contract as `go test ./internal/lint -update`).
-lint-confinement:
-	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) run ./cmd/numalint -confinement-json ./... >"$$tmp" || exit 1; \
-	if [ -n "$(UPDATE)" ]; then \
-		cp "$$tmp" internal/lint/testdata/confinement.golden.json; \
-		echo "lint-confinement: golden updated"; \
-	else \
-		diff -u internal/lint/testdata/confinement.golden.json "$$tmp" || \
-			{ echo "lint-confinement: confinement report drifted from the golden;"; \
-			  echo "  audit the diff and run: make lint-confinement UPDATE=1"; exit 1; }; \
-		echo "lint-confinement: report matches golden"; \
-	fi
 
 build:
 	$(GO) build ./...
@@ -61,10 +41,7 @@ race:
 	$(GO) test -race -count=1 \
 		-run 'TestSingleflightUnderConcurrency|TestHarnessPanicIsolation|TestHarnessFailureHammer|TestHarnessFailureEvictedFromMemo' \
 		./internal/report
-	$(GO) test -race -count=1 \
-		-run 'TestShardNeutrality|TestEpochWorkerNeutrality|TestShardedEpochsDeterministicAndLaneEquivalent|TestShardStatsEpochsDeterministicAcrossWorkers|TestGuardedEpochsMatchSerializedMerge' \
-		./internal/core ./internal/sim
-	$(GO) test -race -count=1 -run 'TestRecorderUnderEpochWorkers' ./internal/obs
+	$(GO) test -race -count=1 -run 'TestRecorderConcurrentRecordAndDump' ./internal/obs
 
 # The chaos suite: a full-fault run (drain + drops + transient allocation
 # failures + slow link) must complete deterministically with invariants
@@ -81,42 +58,6 @@ bench-smoke:
 # costs one branch when off; one iteration keeps CI honest about it building.
 obs-bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTracerDisabled|BenchmarkRecorderDisabled' -benchtime 1x ./internal/obs
-	$(GO) test -run '^$$' -bench BenchmarkShardStatsDisabled -benchtime 1x ./internal/sim
-
-# The shard-stats export must be byte-deterministic: run the golden workload
-# twice at each lane count and diff the JSONL reports. (Per-lane stats are
-# deterministic per shard count; only the dispatch total is shard-neutral —
-# TestShardStatsNeutral covers that invariant.)
-obs-shard-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/numasim" ./cmd/numasim; \
-	for s in 1 2 4; do \
-		"$$tmp/numasim" -workload engineering -scale 0.05 -duration 4ms \
-			-shards $$s -shardstats "$$tmp/a$$s.jsonl" >/dev/null; \
-		"$$tmp/numasim" -workload engineering -scale 0.05 -duration 4ms \
-			-shards $$s -shardstats "$$tmp/b$$s.jsonl" >/dev/null; \
-		cmp "$$tmp/a$$s.jsonl" "$$tmp/b$$s.jsonl" || \
-			{ echo "obs-shard-smoke: shard-stats not deterministic at -shards $$s"; exit 1; }; \
-	done; \
-	echo "obs-shard-smoke: shard-stats deterministic at shards 1/2/4"
-
-# Full-system byte-identity of the concurrent epoch engine: the -json result
-# of a golden workload must be identical between the single-heap engine and
-# guarded epochs at every shard/worker pairing. The neutrality tests cover
-# the library; this covers the shipped binary's flag plumbing.
-epoch-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/numasim" ./cmd/numasim; \
-	"$$tmp/numasim" -workload engineering -scale 0.05 -duration 4ms \
-		-json >"$$tmp/serial.json"; \
-	for sw in "1 1" "2 2" "4 4"; do \
-		set -- $$sw; \
-		"$$tmp/numasim" -workload engineering -scale 0.05 -duration 4ms \
-			-shards $$1 -workers $$2 -json >"$$tmp/epoch.json"; \
-		cmp "$$tmp/serial.json" "$$tmp/epoch.json" || \
-			{ echo "epoch-smoke: -shards $$1 -workers $$2 diverges from the serial engine"; exit 1; }; \
-	done; \
-	echo "epoch-smoke: byte-identical at shards/workers 1/1 2/2 4/4"
 
 # End-to-end check of the simulation server: builds the real numasim and
 # numasimd binaries, byte-diffs a served response against `numasim -json`,
@@ -140,11 +81,10 @@ bench:
 
 # Machine-readable record of the throughput benchmarks: one iteration at
 # quarter scale, parsed by cmd/benchjson into BENCH_8.json (ns/op, allocs/op,
-# ksteps/s, records). ShardScaling records the serial 1/2/4-lane curve plus
-# the guarded-epoch points (workers 2 and 4).
+# Mrefs/s, records).
 bench-json:
 	BENCH_SCALE=0.25 $(GO) test -run '^$$' \
-		-bench 'FullSystemEngineering|ShardScaling|TraceSimThroughput' -benchmem -benchtime 1x . \
+		-bench 'FullSystemEngineering|TraceSimThroughput' -benchmem -benchtime 1x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_8.json
 	@echo wrote BENCH_8.json
 

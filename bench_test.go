@@ -14,7 +14,6 @@ package ccnuma
 // BENCH_SCALE (default 0.5) trades fidelity for speed.
 
 import (
-	"fmt"
 	"os"
 	"strconv"
 	"sync"
@@ -222,37 +221,13 @@ func BenchmarkSharingThreshold(b *testing.B) {
 }
 
 // BenchmarkFullSystemEngineering measures raw simulator throughput: one
-// complete engineering run per iteration (not memoized).
+// complete engineering run per iteration (not memoized), reported in
+// millions of simulated memory references per second of wall time.
 func BenchmarkFullSystemEngineering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h := report.NewHarness(0.25, uint64(i+1))
 		r := h.FT("engineering")
-		b.ReportMetric(float64(r.Steps)/float64(b.Elapsed().Seconds()*1e6), "ksteps/s")
-	}
-}
-
-// BenchmarkShardScaling measures full-system throughput across the engine's
-// drive modes: one complete engineering run per iteration. The serial points
-// (workers=0) sweep the 1-lane (single heap), 2-lane, and 4-lane engines and
-// record the merge's bookkeeping overhead; the epoch-mode points (workers>=1)
-// drive planner-cleared guarded windows concurrently and record what the
-// confinement planner's admissible windows buy back. Results are
-// byte-identical at every point (the shard- and epoch-neutrality tests gate
-// that), so ksteps/s is the only axis the curve varies.
-func BenchmarkShardScaling(b *testing.B) {
-	for _, pt := range []struct{ shards, workers int }{
-		{1, 0}, {2, 0}, {4, 0},
-		{2, 2}, {4, 2}, {4, 4},
-	} {
-		b.Run(fmt.Sprintf("shards=%d/workers=%d", pt.shards, pt.workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				h := report.NewHarness(0.25, uint64(i+1))
-				h.Shards = pt.shards
-				h.EpochWorkers = pt.workers
-				r := h.FT("engineering")
-				b.ReportMetric(float64(r.Steps)/float64(b.Elapsed().Seconds()*1e6), "ksteps/s")
-			}
-		})
+		b.ReportMetric(float64(r.Steps)/float64(b.Elapsed().Seconds()*1e6), "Mrefs/s")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command benchjson converts `go test -bench` text output on stdin into a
 // machine-readable JSON document, so benchmark numbers (ns/op, allocs/op,
-// and custom metrics like ksteps/s) can be archived and diffed across
+// and custom metrics like Mrefs/s) can be archived and diffed across
 // commits without scraping.
 //
 // Usage:
@@ -19,7 +19,7 @@ import (
 )
 
 // benchmark is one result line. Standard units get their own fields; any
-// other unit (b.ReportMetric values such as ksteps/s or records) lands in
+// other unit (b.ReportMetric values such as Mrefs/s or records) lands in
 // Metrics keyed by its unit string.
 type benchmark struct {
 	Name        string             `json:"name"`

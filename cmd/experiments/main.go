@@ -35,8 +35,6 @@ func main() {
 		out      = flag.String("out", "", "also write the report to this file")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations per experiment")
-		shards   = flag.Int("shards", 0, "per-node event lanes inside each simulation (0 or 1 = single heap; results are shard-count independent)")
-		workers  = flag.Int("workers", 0, "goroutines driving guarded epoch windows inside each simulation (0 = serial; needs -shards >= workers; results are worker-count independent)")
 		progress = flag.Bool("progress", false, "log each simulation's start/finish/memo-hit to stderr")
 		metrics  = flag.String("metrics", "", "write per-run metrics (JSONL) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -81,8 +79,6 @@ func main() {
 
 	h := report.NewHarness(*scale, *seed)
 	h.Workers = *jobs
-	h.Shards = *shards
-	h.EpochWorkers = *workers
 	h.Retries = *retries
 	h.RetryBackoff = *retryBackoff
 	h.RunTimeout = *runTimeout

@@ -6,19 +6,11 @@
 //
 // Usage:
 //
-//	numalint [-json] [-confinement-json] [-<check>=false ...] [packages]
+//	numalint [-json] [-<check>=false ...] [packages]
 //
 // Packages default to ./... . Findings print as file:line:col: check:
 // message, or as a JSON array with -json. A finding is suppressed by a
 // //numalint:allow <check> <reason> directive on its line or the line above.
-//
-// -confinement-json additionally prints the whole-program confinement
-// report to stdout: one entry per //numalint:lane-confined function with
-// its proven/stale verdict, violation and escape counts, and the number of
-// audited allow cuts its proof leans on (diagnostics, if any, go to stderr
-// in that mode). The committed golden lives at
-// internal/lint/testdata/confinement.golden.json and make lint-confinement
-// fails when the two diverge.
 package main
 
 import (
@@ -33,8 +25,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
-	confJSON := flag.Bool("confinement-json", false,
-		"emit the whole-program confinement report as JSON (diagnostics go to stderr)")
 	list := flag.Bool("list", false, "list the suite's checks and exit")
 	enabled := map[string]*bool{}
 	for _, a := range lint.Analyzers() {
@@ -75,11 +65,7 @@ func main() {
 		}
 	}
 
-	diags, rep := suite.RunReport(pkgs, loader.ModRoot)
-	if *confJSON && rep == nil {
-		fmt.Fprintln(os.Stderr, "numalint: -confinement-json requires laneconfined or laneescape enabled")
-		os.Exit(2)
-	}
+	diags := suite.Run(pkgs)
 	cwd, _ := os.Getwd()
 	for i := range diags {
 		if rel, err := filepath.Rel(cwd, diags[i].File); err == nil && !filepath.IsAbs(rel) {
@@ -87,18 +73,7 @@ func main() {
 		}
 	}
 
-	switch {
-	case *confJSON:
-		// Stdout carries the report alone so it can be piped or diffed
-		// against the committed golden; findings still fail the run.
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
-		if err := lint.WriteConfinementJSON(os.Stdout, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "numalint:", err)
-			os.Exit(2)
-		}
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if diags == nil {
@@ -108,7 +83,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "numalint:", err)
 			os.Exit(2)
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}

@@ -17,10 +17,8 @@ import (
 
 	"ccnuma/internal/core"
 	"ccnuma/internal/fault"
-	"ccnuma/internal/obs"
 	"ccnuma/internal/policy"
 	"ccnuma/internal/profiling"
-	"ccnuma/internal/report"
 	"ccnuma/internal/serve"
 	"ccnuma/internal/sim"
 	"ccnuma/internal/stats"
@@ -33,8 +31,6 @@ func main() {
 		cfgName   = flag.String("config", "ccnuma", "machine: ccnuma|ccnow|zeronet")
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		seed      = flag.Uint64("seed", 42, "random seed")
-		shards    = flag.Int("shards", 0, "per-node event lanes (0 or 1 = single heap; results are shard-count independent)")
-		workers   = flag.Int("workers", 0, "goroutines driving guarded epoch windows (0 = serial; needs -shards >= workers; results are worker-count independent)")
 		dur       = flag.Duration("duration", 0, "run length in simulated time (0 = workload default)")
 		trigger   = flag.Uint("trigger", 0, "trigger threshold override (0 = workload default)")
 		metric    = flag.String("metric", "fc", "counter metric: fc|sc|ft|st")
@@ -45,7 +41,6 @@ func main() {
 		oldMiss   = flag.String("trace", "", "deprecated alias for -misstrace")
 		eventsPth = flag.String("events", "", "write the observability event trace as Chrome trace JSON (load in Perfetto)")
 		jsonlPth  = flag.String("events-jsonl", "", "write the observability event trace as JSONL")
-		shardsPth = flag.String("shardstats", "", "collect per-lane shard stats, print the table, and write the JSONL report to this file")
 		seriesPth = flag.String("timeseries", "", "write the sampled time-series as CSV")
 		interval  = flag.Duration("sample-interval", time.Millisecond, "time-series sampling interval (simulated time)")
 		debug     = flag.Bool("debug-checks", false, "validate accounting invariants on every sample")
@@ -114,8 +109,6 @@ func main() {
 		Config:         *cfgName,
 		Scale:          *scale,
 		Seed:           seed,
-		Shards:         *shards,
-		Workers:        *workers,
 		DurationNS:     dur.Nanoseconds(),
 		Trigger:        uint16(*trigger),
 		Metric:         *metric,
@@ -139,7 +132,6 @@ func main() {
 	opt := job.Opt
 	opt.CollectTrace = *missPth != ""
 	opt.CollectEvents = *eventsPth != "" || *jsonlPth != ""
-	opt.CollectShardStats = *shardsPth != ""
 	opt.DebugChecks = *debug
 	if *seriesPth != "" {
 		if *interval <= 0 {
@@ -175,9 +167,7 @@ func main() {
 		fmt.Printf("miss trace: %d records -> %s\n", res.Trace.Len(), *missPth)
 	}
 	if *eventsPth != "" && res.ObsEvents != nil {
-		writeFile(*eventsPth, func(w io.Writer) error {
-			return res.ObsEvents.WriteChromeTraceWith(w, res.ShardStats)
-		})
+		writeFile(*eventsPth, res.ObsEvents.WriteChromeTrace)
 		fmt.Printf("events: %d -> %s (chrome trace; load in Perfetto)\n", res.ObsEvents.Len(), *eventsPth)
 	}
 	if *jsonlPth != "" && res.ObsEvents != nil {
@@ -187,13 +177,6 @@ func main() {
 	if *seriesPth != "" && res.Series != nil {
 		writeFile(*seriesPth, res.Series.WriteCSV)
 		fmt.Printf("timeseries: %d samples -> %s\n", res.Series.Len(), *seriesPth)
-	}
-	if *shardsPth != "" && res.ShardStats != nil {
-		writeFile(*shardsPth, func(w io.Writer) error {
-			return obs.WriteShardStatsJSONL(w, res.ShardStats)
-		})
-		fmt.Print(report.ShardStatsTable(res.ShardStats))
-		fmt.Printf("shard stats: %d lanes -> %s (jsonl)\n", res.ShardStats.Lanes(), *shardsPth)
 	}
 }
 

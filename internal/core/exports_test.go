@@ -18,7 +18,7 @@ import (
 
 // runExports renders every deterministic export of a result: the stats
 // summary, the observability events JSONL, and the time-series (CSV and
-// JSONL). Byte equality of this bundle is the cross-shard gate.
+// JSONL).
 func runExports(t *testing.T, res *Result) []byte {
 	t.Helper()
 	var b bytes.Buffer
@@ -47,8 +47,8 @@ func runExports(t *testing.T, res *Result) []byte {
 	return b.Bytes()
 }
 
-// exportCases are the golden workload/option combinations the cross-shard
-// determinism hammer runs: dynamic policy with every observability surface
+// exportCases are the golden workload/option combinations the exports golden
+// pins: dynamic policy with every observability surface
 // on, a pinned static-placement run, a real paper workload at test scale,
 // and a full-chaos fault-injected run.
 func exportCases() []struct {
@@ -91,27 +91,6 @@ func exportCases() []struct {
 				SampleInterval: sim.Millisecond, Faults: chaosConfig()},
 		},
 	}
-}
-
-// firstDiff renders the first differing region of two byte slices.
-func firstDiff(a, b []byte) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			lo, hi := i-40, i+40
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > n {
-				hi = n
-			}
-			return fmt.Sprintf("at byte %d: %q vs %q", i, a[lo:hi], b[lo:hi])
-		}
-	}
-	return fmt.Sprintf("common prefix of %d bytes", n)
 }
 
 // exportsGolden holds one "<sha256>  <case>" line per exportCases entry.

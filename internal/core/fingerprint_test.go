@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"ccnuma/internal/obs"
 	"ccnuma/internal/policy"
 	"ccnuma/internal/sim"
 	"ccnuma/internal/topology"
@@ -33,7 +34,6 @@ func TestFingerprintDistinguishesEveryOptionField(t *testing.T) {
 		"code-ft":        func(o *Options) { o.ReplicateCodeOnFirstTouch = true },
 		"adaptive":       func(o *Options) { o.AdaptiveTrigger = true },
 		"reclaim":        func(o *Options) { o.ReclaimColdReplicas = true },
-		"closure-events": func(o *Options) { o.ClosureEvents = true },
 		"fault-seed":     func(o *Options) { o.Faults.Seed = 7 },
 		"fault-drain":    func(o *Options) { o.Faults.DrainNode = 2; o.Faults.DrainAt = sim.Millisecond },
 		"fault-drop":     func(o *Options) { o.Faults.DropBatch = 0.1 },
@@ -59,5 +59,18 @@ func TestFingerprintStableForEqualOptions(t *testing.T) {
 	b := Options{Dynamic: true, Params: policy.Base(), Config: topology.CCNUMA()}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("equal options fingerprint differently:\n%s\n%s", a.Fingerprint(), b.Fingerprint())
+	}
+}
+
+// TestObservationAbsentFromFingerprint pins the memo contract for the flight
+// recorder: its pointer would make every attempt's memo key unique, and the
+// ring is write-only from the simulation's view, so it is erased.
+func TestObservationAbsentFromFingerprint(t *testing.T) {
+	a := Options{Seed: 9, Dynamic: true}
+	b := a
+	b.Recorder = obs.NewRecorder(16)
+	if a.Fingerprint() != b.Fingerprint() {
+		t.Fatalf("the recorder pointer leaked into the fingerprint:\n%s\n%s",
+			a.Fingerprint(), b.Fingerprint())
 	}
 }

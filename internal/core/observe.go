@@ -16,7 +16,7 @@ func (s *System) wireObservability() {
 	if s.opt.CollectEvents || s.opt.Recorder.On() || s.opt.EventSink != nil {
 		switch {
 		case s.opt.CollectEvents:
-			s.events = obs.NewTracer(s.now)
+			s.events = obs.NewTracer(s.eng.Now)
 			// With both asked for, the buffered tracer also mirrors into the
 			// flight recorder's ring.
 			s.events.AttachRecorder(s.opt.Recorder)
@@ -24,10 +24,10 @@ func (s *System) wireObservability() {
 			// Recorder-only: events flow straight into the bounded ring, no
 			// unbounded buffer, so a flight recorder is cheap enough to leave
 			// on for every harness run.
-			s.events = obs.NewFlightTracer(s.now, s.opt.Recorder)
+			s.events = obs.NewFlightTracer(s.eng.Now, s.opt.Recorder)
 		default:
 			// Sink-only: events stream out as they happen, nothing buffered.
-			s.events = obs.NewStreamTracer(s.now, s.opt.EventSink)
+			s.events = obs.NewStreamTracer(s.eng.Now, s.opt.EventSink)
 		}
 		// A sink composes with either buffering mode (the stream-only case
 		// installed it at construction).
@@ -56,8 +56,8 @@ func (s *System) startSampler() {
 	if s.sampler == nil {
 		return
 	}
-	s.schedEvery(s.sampler.Interval, s.takeSample,
-		func() bool { return s.finished() || s.now() >= s.deadline })
+	s.eng.Every(s.sampler.Interval, s.takeSample,
+		func() bool { return s.finished() || s.eng.Now() >= s.deadline })
 }
 
 // takeSample records one time-series point: engine gauges, per-CPU breakdown
@@ -67,8 +67,8 @@ func (s *System) startSampler() {
 func (s *System) takeSample(now sim.Time) {
 	sm := obs.Sample{
 		At:      now,
-		Fired:   s.engineFired(),
-		Pending: s.enginePending(),
+		Fired:   s.eng.Fired(),
+		Pending: s.eng.Pending(),
 		CPU:     make([]obs.CPUSample, len(s.cpus)),
 		Node:    make([]obs.NodeSample, s.cfg.Nodes),
 	}

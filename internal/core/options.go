@@ -112,42 +112,10 @@ type Options struct {
 	// ReclaimColdReplicas enables cold-replica reclamation each interval,
 	// bounding replication's space overhead.
 	ReclaimColdReplicas bool
-	// ClosureEvents schedules the hot per-CPU step and wake events through
-	// the engine's original closure API instead of the allocation-free typed
-	// path. The two paths are behaviourally identical (asserted by the
-	// determinism guard test); this switch exists for that A/B comparison
-	// and for bisecting event-path regressions, at the cost of one closure
-	// allocation per event.
-	ClosureEvents bool
 	// Faults configures the deterministic fault injector (internal/fault).
 	// The zero value disables it entirely: no injector is built and the run
 	// is byte-identical to one on a build without the fault layer.
 	Faults fault.Config
-	// Shards is the number of per-node event lanes the run's engine is
-	// partitioned into (capped at the machine's node count). 0 or 1 keeps
-	// the single-heap engine. Sharding is an execution detail, never a
-	// semantic one: the lanes merge in global schedule order, so any shard
-	// count produces byte-identical results — which is why Shards is
-	// excluded from Fingerprint and cannot perturb memo keys.
-	Shards int
-	// Workers is the number of worker goroutines the sharded engine drives
-	// guarded epoch windows with (sim.Sharded.RunEpochs). 0 keeps the fully
-	// serial merge; 1..Shards runs the planner-cleared lane-confined windows
-	// concurrently. Like Shards, it is purely an execution knob: the guarded
-	// mode is byte-identical to the serialized merge by construction (and
-	// gated by TestEpochWorkerNeutrality), so Workers is erased from
-	// Fingerprint and cannot perturb memo keys. Requires Workers <= Shards —
-	// a worker without a lane to drive is a configuration error.
-	Workers int
-	// CollectShardStats attaches the sharded engine's introspection layer
-	// (per-lane dispatch counts, heap high-water marks, cross-lane traffic,
-	// barrier stalls, windowed dispatch timeline) into Result.ShardStats.
-	// With Shards <= 1 the run uses a one-lane sharded engine — byte-identical
-	// to the single-heap path by the serialized-merge construction — so the
-	// report exists at every shard count. Collection never changes simulation
-	// results (gated by TestShardStatsNeutral), so it is erased from
-	// Fingerprint like Shards.
-	CollectShardStats bool
 	// Recorder, when non-nil, is the failure flight recorder: every typed
 	// observability event is mirrored into its bounded ring (without the
 	// unbounded buffering of CollectEvents) so a crashed or timed-out run can
@@ -172,15 +140,9 @@ type Options struct {
 // address — stable within a process, which is all an in-process memo needs
 // (two distinct placer values conservatively get distinct keys).
 func (o Options) Fingerprint() string {
-	// Shards partitions the event queue without changing results (gated by
-	// the cross-shard determinism tests), so it is erased here: two runs
-	// differing only in shard count must share one memo slot. The same holds
-	// for shard-stats collection (observation-only, result bytes unchanged)
-	// and the flight recorder (a write-only ring whose pointer would
-	// otherwise make every attempt's key unique).
-	o.Shards = 0
-	o.Workers = 0
-	o.CollectShardStats = false
+	// The flight recorder and the event sink observe without changing
+	// results, and their pointers would otherwise make every attempt's key
+	// unique, so they are erased.
 	o.Recorder = nil
 	o.EventSink = nil
 	return fmt.Sprintf("%+v", o)
@@ -223,31 +185,6 @@ func (o Options) withDefaults(spec specLike) (Options, error) {
 	if o.DebugChecks && o.SampleInterval <= 0 {
 		// The debug checks run on sampler ticks; give them a tick to run on.
 		o.SampleInterval = sim.Millisecond
-	}
-	if o.Shards < 0 {
-		return o, fmt.Errorf("core: negative shard count %d", o.Shards)
-	}
-	if o.Shards > o.Config.Nodes {
-		// One lane per node is the natural maximum: a lane owns a node's
-		// CPUs, caches, TLBs, and local frame pool.
-		o.Shards = o.Config.Nodes
-	}
-	if o.Workers < 0 {
-		return o, fmt.Errorf("core: negative worker count %d", o.Workers)
-	}
-	if o.Workers > 0 {
-		// Workers drive lanes; more workers than lanes is a sizing mistake,
-		// not a request the engine can satisfy. The comparison uses the
-		// post-clamp shard count so "Workers = Shards = Nodes+k" fails loudly
-		// instead of silently idling k workers.
-		shards := o.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		if o.Workers > shards {
-			return o, fmt.Errorf("core: %d workers exceed %d shards (need workers <= shards)",
-				o.Workers, shards)
-		}
 	}
 	if err := o.Config.Validate(); err != nil {
 		return o, err
@@ -302,10 +239,6 @@ type Result struct {
 	// Series holds the sampled time-series when Options.SampleInterval was
 	// positive (export with WriteCSV / WriteJSONL).
 	Series *obs.Sampler
-	// ShardStats holds the engine's per-lane introspection when
-	// Options.CollectShardStats was set (export with
-	// obs.WriteShardStatsJSONL / report.ShardStatsTable).
-	ShardStats *sim.ShardStats
 	// Events is the number of simulator events dispatched.
 	Events uint64
 	// Steps is the number of memory references executed (work completed).

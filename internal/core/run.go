@@ -25,43 +25,11 @@ const cyclesPerStep = 4
 
 // schedule arms cpu c's next step event. Each CPU's entire chain reuses one
 // registered typed event (stepKind with the CPU index as arg), so the
-// simulator's hottest call allocates nothing. On the sharded engine the
-// chain re-arms through the CPU's lane — identical to the engine-level call
-// under the serialized merge, and the journaled deferred-schedule path when
-// the step ran inside a guarded window. The closure form is kept behind
-// Options.ClosureEvents as the determinism reference.
+// simulator's hottest call allocates nothing.
 //
 //numalint:hotpath
 func (s *System) schedule(c *cpuState, at sim.Time) {
-	if s.opt.ClosureEvents {
-		//numalint:allow hotpath closure reference path gated by Options.ClosureEvents
-		//numalint:allow laneconfined closure events are never guardable (clampGuard serializes them), so this branch cannot run inside a window
-		//numalint:allow laneescape closure events are never guardable, so nothing reached from here runs inside a window
-		s.schedAt(at, func(now sim.Time) { s.step(c, now) })
-		return
-	}
-	if c.lane != nil {
-		c.lane.AtKind(at, s.stepKind, uint64(c.id))
-		return
-	}
-	//numalint:allow laneconfined a window-executed step always carries its lane (registerKinds sets c.lane before dispatch); the engine-level fallback is serial-only
-	s.schedAtKind(at, s.stepKind, uint64(c.id))
-}
-
-// idleStep is the idle scheduler tick's tail: nothing is runnable on this
-// CPU, so charge one idle tick and re-arm the step chain. It is one of the
-// two events the confinement planner admits into guarded windows (the other
-// is the same-lane wake, wakeProc) — the planner proves the head of step
-// trivial at plan time via Scheduler.IdleOn, and the analyzer proves this
-// tail reaches no machine-global state; ConfinedEntryPoints names both and
-// TestPlannerAdmissibleSetIsProven keeps the two proofs from drifting.
-//
-//numalint:hotpath
-//numalint:lane-confined
-func (s *System) idleStep(c *cpuState, t sim.Time) {
-	c.idle = true
-	c.bd.Idle += idleTick
-	s.schedule(c, t+idleTick)
+	s.eng.AtKind(at, s.stepKind, uint64(c.id))
 }
 
 // step is one CPU's event: pending shootdown charges, queued pager work,
@@ -100,7 +68,9 @@ func (s *System) step(c *cpuState, now sim.Time) {
 	if c.cur == nil {
 		next := s.schedul.Next(c.id)
 		if next == nil {
-			s.idleStep(c, t)
+			c.idle = true
+			c.bd.Idle += idleTick
+			s.schedule(c, t+idleTick)
 			return
 		}
 		c.idle = false
@@ -132,18 +102,7 @@ func (s *System) step(c *cpuState, now sim.Time) {
 		case workload.StepBlock:
 			s.schedul.Block(p.sp)
 			c.cur = nil
-			if s.opt.ClosureEvents {
-				wake := p
-				//numalint:allow hotpath closure reference path gated by Options.ClosureEvents
-				s.schedAt(t+st.Dur, func(sim.Time) {
-					if wake.alive {
-						s.schedul.MakeRunnable(wake.sp)
-					}
-				})
-			} else {
-				s.schedAtKind(t+st.Dur, s.wakeKind,
-					uint64(p.vmID)<<32|uint64(p.slotGen))
-			}
+			s.eng.AtKind(t+st.Dur, s.wakeKind, uint64(p.vmID)<<32|uint64(p.slotGen))
 		case workload.StepAccess:
 			var missed bool
 			t, missed = s.access(c, p, st, t)
@@ -299,7 +258,7 @@ func (s *System) start() {
 		} else {
 			ps, i := ps, i
 			s.pendingSpawns++
-			s.schedAt(ps.StartAt, func(sim.Time) {
+			s.eng.At(ps.StartAt, func(sim.Time) {
 				s.pendingSpawns--
 				s.addProc(ps, i)
 			})
@@ -308,7 +267,7 @@ func (s *System) start() {
 	s.preTouch()
 
 	if s.pg != nil {
-		s.schedEvery(s.opt.Params.ResetInterval, func(now sim.Time) {
+		s.eng.Every(s.opt.Params.ResetInterval, func(now sim.Time) {
 			if s.pg.ReclaimCold {
 				// Reclaim while this interval's sharing information is
 				// still in the counters; the kernel time lands on CPU 0.
@@ -316,20 +275,20 @@ func (s *System) start() {
 				c0.extraDelay += s.pg.ReclaimColdReplicas(now, c0.id, &c0.bd)
 			}
 			s.pg.ResetInterval()
-		}, func() bool { return s.finished() || s.now() >= s.deadline })
+		}, func() bool { return s.finished() || s.eng.Now() >= s.deadline })
 	}
 	if s.inj != nil {
 		if fc := s.inj.Config(); fc.DrainAt > 0 {
 			node := mem.NodeID(fc.DrainNode)
-			s.schedAt(fc.DrainAt, func(now sim.Time) { s.drainNode(now, node) })
+			s.eng.At(fc.DrainAt, func(now sim.Time) { s.drainNode(now, node) })
 		}
 	}
 	if aff, ok := s.schedul.(*sched.Affinity); ok {
 		// Periodic load balancing (UNIX priority decay): the process
 		// movement that makes private pages remote.
-		s.schedEvery(rebalancePeriod, func(sim.Time) {
+		s.eng.Every(rebalancePeriod, func(sim.Time) {
 			aff.Rebalance()
-		}, func() bool { return s.finished() || s.now() >= s.deadline })
+		}, func() bool { return s.finished() || s.eng.Now() >= s.deadline })
 	}
 	s.startSampler()
 	for _, c := range s.cpus {
@@ -341,7 +300,7 @@ func (s *System) start() {
 // measurements.
 func (s *System) Run() (*Result, error) {
 	s.start()
-	s.engineRunUntil(s.deadline)
+	s.eng.RunUntil(s.deadline)
 	if s.tracer != nil {
 		s.tracer.Sort()
 	}
@@ -375,11 +334,8 @@ func (s *System) Run() (*Result, error) {
 		Trace:             s.tracer,
 		ObsEvents:         obsEvents,
 		Series:            s.sampler,
-		Events:            s.engineFired(),
+		Events:            s.eng.Fired(),
 		Faults:            s.inj.Stats(),
-	}
-	if s.seng != nil {
-		res.ShardStats = s.seng.Stats()
 	}
 	for _, c := range s.cpus {
 		res.Steps += c.steps
@@ -427,8 +383,8 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		ctx = context.Background()
 	}
 	if ctx.Done() != nil {
-		s.setCancel(func() bool { return ctx.Err() != nil })
-		defer s.setCancel(nil)
+		s.eng.SetCancel(func() bool { return ctx.Err() != nil })
+		defer s.eng.SetCancel(nil)
 	}
 	res, err := s.Run()
 	if err != nil {

@@ -35,16 +35,15 @@ type procState struct {
 	vmID mem.ProcID
 	sp   *sched.Proc
 	spec *workload.ProcSpec
-	// specIdx is spec's index in the workload's Procs slice — the stable,
-	// shardable identity used wherever per-spec state is kept (pointer-keyed
-	// maps are banned: ranging one is latent nondeterminism, and pointers
-	// cannot be merged deterministically across lanes).
+	// specIdx is spec's index in the workload's Procs slice — the stable
+	// identity used wherever per-spec state is kept (pointer-keyed maps are
+	// banned: ranging one is latent nondeterminism).
 	specIdx int
 	gen     workload.Generator
 	alive   bool
 	// slotGen distinguishes successive occupants of a reused vm ProcID slot,
 	// so a typed wake event scheduled for an exited process cannot wake its
-	// successor (the closure path pins the exact procState instead).
+	// successor.
 	slotGen uint32
 }
 
@@ -55,12 +54,6 @@ type cpuState struct {
 	tlb     *tlb.TLB
 	cur     *procState
 	quantum sim.Time // current quantum's end
-
-	// lane is the event lane this CPU's step chain runs on (nil on the
-	// single-heap engine). The step handler captures it on every dispatch;
-	// schedule() re-arms through it so an idle tick admitted into a guarded
-	// window journals its reschedule instead of touching the engine heap.
-	lane *sim.Lane
 
 	// pagerWork holds hot-page batches queued for this CPU's next step;
 	// pagerHead indexes the next unserviced batch so draining reuses one
@@ -82,11 +75,7 @@ type System struct {
 	opt  Options
 	cfg  topology.Config
 
-	// Exactly one of eng (single-heap; Shards <= 1) and seng (per-node
-	// event lanes; Shards > 1) is non-nil; engine.go's wrappers dispatch to
-	// whichever exists.
 	eng      *sim.Engine
-	seng     *sim.Sharded
 	rng      *sim.Rand
 	val      *cache.Validity
 	allocs   *alloc.Allocator
@@ -107,8 +96,7 @@ type System struct {
 	// Typed event kinds (registered once in NewSystem): the per-CPU step
 	// chain and the process wake-after-block event. Scheduling them carries
 	// only an integer arg through the engine heap, so the simulator's inner
-	// loop allocates nothing per event. Options.ClosureEvents falls back to
-	// the closure path for A/B determinism checks.
+	// loop allocates nothing per event.
 	stepKind sim.Kind
 	wakeKind sim.Kind
 
@@ -129,8 +117,7 @@ type System struct {
 	// respawnsLeft is indexed by proc-spec index (procState.specIdx): the
 	// remaining respawn budget for churning specs, counted down from
 	// MaxRespawns. The replaced pointer-keyed map had identical semantics
-	// but was a latent nondeterminism hazard and could never be sharded or
-	// merged deterministically across lanes.
+	// but was a latent nondeterminism hazard.
 	respawnsLeft []int
 	completedAt  sim.Time
 }
@@ -161,12 +148,12 @@ func NewSystem(spec *workload.Spec, opt Options) (*System, error) {
 		spec:         spec,
 		opt:          opt,
 		cfg:          cfg,
+		eng:          &sim.Engine{},
 		rng:          sim.NewRand(opt.Seed ^ 0xabcdef),
 		seedGen:      sim.NewRand(opt.Seed*2654435761 + 1),
 		deadline:     4 * opt.Duration, // hard cap; completion usually ends the run
 		respawnsLeft: make([]int, len(spec.Procs)),
 	}
-	s.buildEngine()
 	for i := range spec.Procs {
 		s.respawnsLeft[i] = spec.Procs[i].MaxRespawns
 	}
@@ -197,7 +184,7 @@ func NewSystem(spec *workload.Spec, opt Options) (*System, error) {
 	}
 
 	if opt.Faults.Enabled() {
-		s.inj = fault.New(opt.Faults, opt.Seed, s.now)
+		s.inj = fault.New(opt.Faults, opt.Seed, s.eng.Now)
 		s.allocs.FailHook = s.inj.AllocShouldFail
 		s.mems.ExtraRemote = s.inj.ExtraRemoteLatency
 		if s.pg != nil {
@@ -230,13 +217,12 @@ func NewSystem(spec *workload.Spec, opt Options) (*System, error) {
 		// record) so the trace does not re-grow throughout the run.
 		s.tracer = trace.WithCapacity(traceCapacity(opt.Duration, cfg))
 	}
-	s.registerKinds()
-	if s.seng != nil {
-		// The kernel's confinement planner switches RunEpochs into guarded
-		// mode: serial dispatch for anything touching machine-global state,
-		// concurrent windows for the provably lane-confined idle fraction.
-		s.seng.SetPlanner(newConfinePlanner(s))
-	}
+	s.stepKind = s.eng.Register(func(now sim.Time, arg uint64) {
+		s.step(s.cpus[arg], now)
+	})
+	s.wakeKind = s.eng.Register(func(now sim.Time, arg uint64) {
+		s.wakeProc(mem.ProcID(arg>>32), uint32(arg))
+	})
 	s.wireObservability()
 
 	s.wireKernelRegions()
@@ -286,13 +272,8 @@ func traceCapacity(d sim.Time, cfg topology.Config) int {
 
 // wakeProc is the typed wake-after-block event: make the process runnable
 // again if the same process still occupies the slot and is still alive.
-// Wake events are lane-routed to the node owning the target ready queue, so
-// the confinement planner can admit a same-lane wake into a guarded window;
-// the lane-confined annotation has the analyzer prove the delivery (slot
-// check plus scheduler enqueue) touches no machine-global state.
 //
 //numalint:hotpath
-//numalint:lane-confined
 func (s *System) wakeProc(id mem.ProcID, gen uint32) {
 	if int(id) >= len(s.procs) {
 		return
@@ -329,7 +310,7 @@ func (s *System) onHotBatch(batch []directory.HotRef) {
 		}
 		if delay > 0 {
 			//numalint:allow hotpath fault-injected delay path, cold by construction
-			s.schedAt(s.now()+delay, func(sim.Time) { s.queueBatch(cp) })
+			s.eng.At(s.eng.Now()+delay, func(sim.Time) { s.queueBatch(cp) })
 			return
 		}
 	}
@@ -464,7 +445,7 @@ func (s *System) exitProc(p *procState) {
 		}
 	}
 	if s.finished() && s.completedAt == 0 {
-		s.completedAt = s.now()
+		s.completedAt = s.eng.Now()
 	}
 }
 

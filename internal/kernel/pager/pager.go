@@ -244,20 +244,38 @@ func (pg *Pager) HandleBatch(now sim.Time, cpu mem.CPUID, batch []directory.HotR
 		}
 	}
 
-	// Steps 7-8 per copy, as the two-phase exchange in twophase.go: prepare
-	// charges the copy at the destination node, commit links the frame at the
-	// master's home node. Serial drive, original order.
+	// Steps 7-8 per copy: copy the page data, then link the new frame into
+	// the VM (migration re-points the master, replication adds a replica)
+	// and charge the policy-end bookkeeping. A page whose state changed
+	// between decision and link (e.g. a collapse raced in) rejects the new
+	// frame, which returns to its node's allocator.
+	cc := pg.cfg.CopyCost()
 	for i := range pg.ops {
 		op := &pg.ops[i]
 		acted := false
 		copies := 0
 		for _, f := range op.newFrames {
-			m := phaseMsg{opIdx: i, frame: f}
-			t = pg.prepareCopy(m, t, bd)
-			var ok bool
-			if t, ok = pg.commitCopy(m, t, bd); !ok {
+			t += cc
+			bd.Pager.Add(stats.FnPageCopy, cc)
+			bd.Pager.AddOpStep(op.kind, stats.FnPageCopy, cc)
+			op.latency += cc
+
+			var err error
+			dt := k.PolicyEndRepl
+			if op.decision.Action == policy.MigratePage {
+				err = pg.vm.Migrate(op.ref.Page, f)
+				dt = k.PolicyEndMigr
+			} else {
+				err = pg.vm.Replicate(op.ref.Page, f)
+			}
+			if err != nil {
+				pg.alloc.Free(f)
 				continue
 			}
+			t += dt
+			bd.Pager.Add(stats.FnPolicyEnd, dt)
+			bd.Pager.AddOpStep(op.kind, stats.FnPolicyEnd, dt)
+			op.latency += dt
 			acted = true
 			copies++
 		}

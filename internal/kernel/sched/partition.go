@@ -119,8 +119,6 @@ func (s *Partition) rehome(p *Proc, cpu mem.CPUID) {
 }
 
 // MakeRunnable queues the process on its job's home CPU.
-//
-//numalint:lane-confined
 func (s *Partition) MakeRunnable(p *Proc) { s.push(s.home[p], p) }
 
 // Next consults only the local queue: partitions do not steal across job
@@ -141,12 +139,6 @@ func (s *Partition) Block(p *Proc) { p.state = stateBlocked }
 
 // Migrations returns cross-CPU dispatch count.
 func (s *Partition) Migrations() uint64 { return s.migrations }
-
-// WakeCPU mirrors MakeRunnable's queue choice: the job's home CPU.
-func (s *Partition) WakeCPU(p *Proc) mem.CPUID { return s.home[p] }
-
-// IdleOn mirrors Next without its side effects: partitions never steal.
-func (s *Partition) IdleOn(cpu mem.CPUID) bool { return len(s.ready[cpu]) == 0 }
 
 // Home returns a process's current home CPU (test hook).
 func (s *Partition) Home(p *Proc) mem.CPUID { return s.home[p] }

@@ -55,15 +55,6 @@ type Scheduler interface {
 	// Migrations returns how many times a process started on a CPU other
 	// than its previous one.
 	Migrations() uint64
-	// WakeCPU returns the CPU whose ready queue MakeRunnable(p) would push
-	// onto right now. The sharded engine uses it to route wake events to the
-	// lane owning that queue; it must read only, never move the process.
-	WakeCPU(p *Proc) mem.CPUID
-	// IdleOn reports whether Next(cpu) would return nil right now, without
-	// the side effects of calling it. The epoch planner uses it to prove an
-	// idle tick will take the idle path; the answer must match what Next
-	// would do given the same queue state.
-	IdleOn(cpu mem.CPUID) bool
 }
 
 // queues is the shared per-CPU ready-queue machinery.
@@ -143,11 +134,7 @@ func NewAffinity(cpus int) *Affinity {
 func (s *Affinity) Add(p *Proc) { s.push(p.LastCPU, p) }
 
 // MakeRunnable re-queues a blocked process on its last CPU; idle CPUs pull
-// it over via stealing if the home stays busy. The epoch planner only admits
-// a wake whose target queue's lane is the dispatching lane, so the enqueue
-// runs inside guarded windows and must stay lane-confined.
-//
-//numalint:lane-confined
+// it over via stealing if the home stays busy.
 func (s *Affinity) MakeRunnable(p *Proc) { s.push(p.LastCPU, p) }
 
 // Next runs the local queue first, then steals from the longest queue.
@@ -220,28 +207,6 @@ func (s *Affinity) Rebalance() bool {
 // Migrations returns cross-CPU dispatch count.
 func (s *Affinity) Migrations() uint64 { return s.migrations }
 
-// WakeCPU mirrors MakeRunnable's queue choice: the last CPU.
-func (s *Affinity) WakeCPU(p *Proc) mem.CPUID { return p.LastCPU }
-
-// IdleOn mirrors Next without its side effects: the CPU idles only when its
-// own queue is empty and no other queue has enough backlog to steal from
-// (the floor Next would use after this poll's idlePolls increment).
-func (s *Affinity) IdleOn(cpu mem.CPUID) bool {
-	if len(s.ready[cpu]) > 0 {
-		return false
-	}
-	floor := 1
-	if s.idlePolls[cpu]+1 >= s.LoneStealPolls {
-		floor = 0
-	}
-	for c := range s.ready {
-		if len(s.ready[c]) > floor {
-			return false
-		}
-	}
-	return true
-}
-
 // Pinned runs each process only on its Pin CPU (raytrace's one-process-per-
 // processor and the database's engine-per-CPU setups).
 type Pinned struct {
@@ -263,8 +228,6 @@ func (s *Pinned) Add(p *Proc) {
 }
 
 // MakeRunnable re-queues on the pin.
-//
-//numalint:lane-confined
 func (s *Pinned) MakeRunnable(p *Proc) { s.push(p.Pin, p) }
 
 // Next only consults the local queue.
@@ -292,9 +255,3 @@ func (s *Pinned) Exit(p *Proc) {
 
 // Migrations is always zero for pinned scheduling.
 func (s *Pinned) Migrations() uint64 { return s.migrations }
-
-// WakeCPU mirrors MakeRunnable's queue choice: the pin.
-func (s *Pinned) WakeCPU(p *Proc) mem.CPUID { return p.Pin }
-
-// IdleOn mirrors Next without its side effects: pinned CPUs never steal.
-func (s *Pinned) IdleOn(cpu mem.CPUID) bool { return len(s.ready[cpu]) == 0 }

@@ -20,10 +20,6 @@ type replicaView struct {
 	pages []mem.GPage // min-heap by page id
 }
 
-// push, peek, and pop touch only this node's heap, so they are safe on the
-// owning node's lane.
-//
-//numalint:lane-confined
 func (rv *replicaView) push(p mem.GPage) {
 	rv.pages = append(rv.pages, p)
 	i := len(rv.pages) - 1
@@ -37,7 +33,6 @@ func (rv *replicaView) push(p mem.GPage) {
 	}
 }
 
-//numalint:lane-confined
 func (rv *replicaView) peek() (mem.GPage, bool) {
 	if len(rv.pages) == 0 {
 		return 0, false
@@ -45,7 +40,6 @@ func (rv *replicaView) peek() (mem.GPage, bool) {
 	return rv.pages[0], true
 }
 
-//numalint:lane-confined
 func (rv *replicaView) pop() {
 	n := len(rv.pages) - 1
 	rv.pages[0] = rv.pages[n]

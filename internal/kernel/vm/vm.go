@@ -208,9 +208,6 @@ func (v *VM) Touch(proc mem.ProcID, p mem.GPage, pref mem.NodeID) (PTE, FaultKin
 			panic(fmt.Sprintf("vm: machine out of memory touching page %d: %v", p, err))
 		}
 		pi.Master = f
-		// Home the page's validity stamps with its master copy (rehoming
-		// from the previous residence's node if the page was released there).
-		v.val.Assign(p, v.alloc.NodeOf(f))
 		kind = FirstTouchFault
 	}
 	pfn := v.nearest(pi, pref)
@@ -312,9 +309,8 @@ func (v *VM) Migrate(p mem.GPage, newF mem.PFN) error {
 	if pi.MigCount < ^uint8(0) {
 		pi.MigCount++
 	}
-	// The master moved nodes: its validity stamps rehome with it, then the
-	// epoch bump invalidates every cached line of the page.
-	v.val.Assign(p, v.alloc.NodeOf(newF))
+	// The master moved nodes: the epoch bump invalidates every cached line
+	// of the page.
 	v.val.BumpPage(p)
 	v.migrates++
 	if v.Obs.On() {
@@ -399,9 +395,6 @@ func (v *VM) Collapse(p mem.GPage, keepNode mem.NodeID) int {
 		pt.PFN = keep
 		pt.RO = false
 	}
-	// A collapse that kept a replica's frame moved the master to that
-	// replica's node; the stamps follow the master.
-	v.val.Assign(p, v.alloc.NodeOf(keep))
 	v.val.BumpPage(p)
 	v.collapses++
 	if v.Obs.On() {
@@ -504,7 +497,6 @@ func (v *VM) Wire(p mem.GPage, n mem.NodeID) {
 		panic(fmt.Sprintf("vm: out of memory wiring kernel page: %v", err))
 	}
 	pi.Master = f
-	v.val.Assign(p, v.alloc.NodeOf(f))
 	pi.Flags |= Wired
 }
 

@@ -8,7 +8,7 @@ import (
 
 // determinism enforces the byte-identical-output guarantee at the source
 // level: within the deterministic packages, the same seed must produce the
-// same bytes at any -j or -shards, so nothing there may read the wall clock,
+// same bytes at any -j, so nothing there may read the wall clock,
 // draw from the global math/rand source, race channels through select, poll
 // channel readiness with a default clause, let the host's CPU count steer
 // behavior, or iterate a map in an order-dependent way.
@@ -94,9 +94,8 @@ func checkGlobalRand(p *Pass, call *ast.CallExpr) {
 		"%s.%s draws from the global random source; use a seeded sim.Rand stream", pkg, name)
 }
 
-// checkHostCPUCount flags reads of the host's CPU configuration. The lane
-// engine's worker count (like the harness's -j) must never influence
-// simulation output, so deterministic code cannot branch on how many CPUs
+// checkHostCPUCount flags reads of the host's CPU configuration. The
+// harness's worker count (-j) must never influence simulation output, so deterministic code cannot branch on how many CPUs
 // the host machine happens to have.
 func checkHostCPUCount(p *Pass, call *ast.CallExpr) {
 	pkg, name, ok := pkgFunc(calleeFunc(p, call))
@@ -123,8 +122,7 @@ func checkSelect(p *Pass, sel *ast.SelectStmt) {
 		return
 	}
 	// A single-channel select with a default clause is a readiness poll: the
-	// branch taken depends on goroutine scheduling timing, which the epoch
-	// barrier deliberately keeps out of the merge order.
+	// branch taken depends on goroutine scheduling timing.
 	if hasDefault && comms >= 1 {
 		p.Reportf(sel.Pos(),
 			"select with a default clause polls channel readiness; the branch taken depends on scheduling timing")

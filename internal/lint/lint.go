@@ -3,7 +3,7 @@
 // violation can reach the runtime tests that would otherwise be the first to
 // notice.
 //
-// The suite currently carries six checks plus directive hygiene:
+// The suite currently carries four checks plus directive hygiene:
 //
 //   - determinism: inside the deterministic packages (sim, core, obs,
 //     report), flag wall-clock reads (time.Now/time.Since), the global
@@ -11,33 +11,20 @@
 //     poll readiness through a default clause, reads of the host's CPU
 //     count (runtime.NumCPU/GOMAXPROCS), and map iteration whose body is
 //     order-dependent — each one a way to make two runs of the same seed
-//     diverge, including across worker or shard counts.
+//     diverge, including across worker counts.
 //   - hotpath: functions annotated //numalint:hotpath must not contain
 //     allocation-inducing constructs: closure literals, fmt calls, append
 //     whose result is not reassigned over its own backing slice, or values
 //     of basic type boxed into interfaces.
 //   - tracerguard: every call to a guarded emitter method (obs.Tracer
-//     Emit/EmitNow, obs.Recorder Record, sim.ShardStats Note*) must sit
-//     behind the nil-check branch pattern (an On() or != nil guard), so a
-//     disabled instrument keeps costing one branch and zero argument
-//     construction. Methods of the guarded type itself are exempt — they
-//     implement the nil tolerance the guard relies on.
+//     Emit/EmitNow, obs.Recorder Record) must sit behind the nil-check
+//     branch pattern (an On() or != nil guard), so a disabled instrument
+//     keeps costing one branch and zero argument construction. Methods of
+//     the guarded type itself are exempt — they implement the nil
+//     tolerance the guard relies on.
 //   - faultpurity: the fault package may draw randomness only from its
 //     private sim.Rand stream — foreign RNGs and wall-clock reads are
 //     errors, because a chaos run must replay exactly from its seed.
-//   - laneconfined: functions annotated //numalint:lane-confined run
-//     concurrently across epoch lanes and must not reach state annotated
-//     //numalint:machine-global (the serialized merge's clock and counters)
-//     through any call path. The check is whole-program: it builds a call
-//     graph over every analyzed package (static calls, concrete and
-//     interface method dispatch, function values, closures), tracks simple
-//     local aliases of machine-global objects, and reports the offending
-//     call chain. An annotation unreachable from the configured dispatch
-//     roots is reported stale.
-//   - laneescape: machine-global-derived values must not flow into
-//     lane-confined code as arguments, and no go statement or channel send
-//     may be reachable from a lane-confined entry point — cross-lane
-//     effects go through the typed mailbox/journal path or not at all.
 //
 // A finding is suppressed by a directive on its line or the line above:
 //
@@ -45,20 +32,15 @@
 //
 // Consecutive allow lines form one block that applies to each of those
 // lines and the first following line, so one statement can carry several
-// audited suppressions. In the whole-program checks an allow does more than
-// suppress a report: it cuts the call edge (or access) on its line out of
-// the traversal, replacing the automatic proof with the directive's
-// mandatory human-written reason. The reason is mandatory; a directive
-// naming an unknown check, missing its reason, or suppressing nothing is
-// itself reported (check "directive").
+// audited suppressions. The reason is mandatory; a directive naming an
+// unknown check, missing its reason, or suppressing nothing is itself
+// reported (check "directive").
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"io"
 	"sort"
 	"strings"
 )
@@ -72,14 +54,6 @@ type Config struct {
 	DeterminismScope []string
 	// FaultScope lists the import-path prefixes held to fault purity.
 	FaultScope []string
-	// ConfinementRoots names (canonically: pkg/path.Func or
-	// pkg/path.(*Recv).Method) the guarded-window dispatch entry points.
-	// A //numalint:lane-confined annotation on a function unreachable from
-	// every root is reported stale. Roots that do not resolve in the
-	// analyzed program are ignored; when none resolve, staleness is not
-	// checked (a partial package listing proves nothing about
-	// reachability).
-	ConfinementRoots []string
 	// Guarded lists the emitter types whose hot emit methods must sit behind
 	// an On()/nil guard at every call site (tracerguard).
 	Guarded []GuardedEmitter
@@ -107,13 +81,10 @@ func DefaultConfig() Config {
 			"ccnuma/internal/report",
 			"ccnuma/internal/serve",
 		},
-		FaultScope:       []string{"ccnuma/internal/fault"},
-		ConfinementRoots: []string{"ccnuma/internal/sim.(*Lane).runGuardedLane"},
+		FaultScope: []string{"ccnuma/internal/fault"},
 		Guarded: []GuardedEmitter{
 			{Pkg: "ccnuma/internal/obs", Type: "Tracer", Methods: []string{"Emit", "EmitNow"}},
 			{Pkg: "ccnuma/internal/obs", Type: "Recorder", Methods: []string{"Record"}},
-			{Pkg: "ccnuma/internal/sim", Type: "ShardStats", Methods: []string{
-				"NoteDispatch", "NoteLaneDispatch", "NoteCross", "NoteBarrierStall"}},
 		},
 	}
 }
@@ -143,9 +114,7 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one check: a name (the flag and directive key), a one-line
-// doc, and the run function. Whole-program checks (laneconfined,
-// laneescape) have a nil Run — the suite drives them over the full package
-// set instead of per package.
+// doc, and the per-package run function.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -158,7 +127,7 @@ const DirectiveCheck = "directive"
 
 // Analyzers returns the suite's checks in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{determinism, hotpath, tracerguard, faultpurity, laneconfined, laneescape}
+	return []*Analyzer{determinism, hotpath, tracerguard, faultpurity}
 }
 
 // knownCheck reports whether name is a check an allow directive may name.
@@ -209,22 +178,12 @@ func (s *Suite) enabled(name string) bool { return !s.Disabled[name] }
 // Run applies the enabled analyzers to every package, resolves allow
 // directives, and returns the surviving findings sorted by position.
 func (s *Suite) Run(pkgs []*Package) []Diagnostic {
-	diags, _ := s.RunReport(pkgs, "")
-	return diags
-}
-
-// RunReport is Run plus the confinement report the whole-program pass
-// builds (nil when both laneconfined and laneescape are disabled). modRoot,
-// when non-empty, relativizes report file paths.
-func (s *Suite) RunReport(pkgs []*Package, modRoot string) ([]Diagnostic, *ConfinementReport) {
 	var raw []Diagnostic
 	var allows []*allowDirective
 	var dirDiags []Diagnostic
-	var fset *token.FileSet
 	for _, pkg := range pkgs {
-		fset = pkg.Fset
 		for _, a := range Analyzers() {
-			if a.Run == nil || !s.enabled(a.Name) {
+			if !s.enabled(a.Name) {
 				continue
 			}
 			a.Run(&Pass{
@@ -241,14 +200,6 @@ func (s *Suite) RunReport(pkgs []*Package, modRoot string) ([]Diagnostic, *Confi
 	}
 
 	allowT := newAllowTable(allows)
-	var rep *ConfinementReport
-	if len(pkgs) > 0 && (s.enabled(laneconfined.Name) || s.enabled(laneescape.Name)) {
-		prog := buildProgram(pkgs)
-		var cd []Diagnostic
-		cd, rep = analyzeConfinement(prog, s.Cfg, allowT, fset, modRoot,
-			s.enabled(laneconfined.Name), s.enabled(laneescape.Name))
-		raw = append(raw, cd...)
-	}
 
 	kept := raw[:0]
 	for _, d := range raw {
@@ -288,24 +239,10 @@ func (s *Suite) RunReport(pkgs []*Package, modRoot string) ([]Diagnostic, *Confi
 		}
 		return a.Message < b.Message
 	})
-	return kept, rep
+	return kept
 }
 
-// WriteConfinementJSON writes the report as deterministic, indented JSON —
-// the byte format committed as testdata/confinement.golden.json and checked
-// by make lint-confinement.
-func WriteConfinementJSON(w io.Writer, rep *ConfinementReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// allowTable indexes allow directives by file for suppression and edge
-// cutting. Consecutive allow lines form one block: each directive in the
+// allowTable indexes allow directives by file for suppression. Consecutive allow lines form one block: each directive in the
 // block matches every line of the block plus the first line after it, so a
 // statement can stack several audited suppressions above itself.
 type allowTable struct {
@@ -379,31 +316,14 @@ func collectDirectives(pkg *Package) ([]*allowDirective, []Diagnostic) {
 	}
 
 	for _, f := range pkg.Files {
-		// Hotpath and lane-confined directives are only meaningful in a
-		// function's doc comment; machine-global only attached to a var or
-		// field declaration. Anywhere else they silently annotate nothing.
+		// Hotpath directives are only meaningful in a function's doc
+		// comment; anywhere else they silently annotate nothing.
 		funcDocs := map[*ast.CommentGroup]bool{}
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
 				funcDocs[fd.Doc] = true
 			}
 		}
-		declDocs := map[*ast.CommentGroup]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Field:
-				declDocs[n.Doc] = true
-				declDocs[n.Comment] = true
-			case *ast.GenDecl:
-				if n.Tok == token.VAR {
-					declDocs[n.Doc] = true
-				}
-			case *ast.ValueSpec:
-				declDocs[n.Doc] = true
-				declDocs[n.Comment] = true
-			}
-			return true
-		})
 
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -419,14 +339,6 @@ func collectDirectives(pkg *Package) ([]*allowDirective, []Diagnostic) {
 				case rest == "hotpath":
 					if !funcDocs[cg] {
 						report(c.Pos(), "hotpath directive must be part of a function's doc comment")
-					}
-				case rest == "lane-confined":
-					if !funcDocs[cg] {
-						report(c.Pos(), "lane-confined directive must be part of a function's doc comment")
-					}
-				case rest == "machine-global":
-					if !declDocs[cg] {
-						report(c.Pos(), "machine-global directive must be attached to a var or field declaration")
 					}
 				case strings.HasPrefix(rest, "allow"):
 					fields := strings.Fields(strings.TrimPrefix(rest, "allow"))

@@ -16,9 +16,6 @@ func corpusConfig() Config {
 	cfg := DefaultConfig()
 	cfg.DeterminismScope = []string{"corpus/determinism"}
 	cfg.FaultScope = []string{"corpus/faultpurity"}
-	// The callgraph corpus carries its own dispatch roots; in every other
-	// corpus neither name resolves, which switches staleness checking off.
-	cfg.ConfinementRoots = []string{"corpus/callgraph/bad.Root", "corpus/callgraph/good.Root"}
 	return cfg
 }
 
@@ -44,16 +41,6 @@ func loadCorpus(t *testing.T, l *Loader, name string) []*Package {
 	}
 	if len(pkgs) == 0 {
 		t.Fatalf("corpus %s has no packages", name)
-	}
-	// The callgraph corpus exercises cross-package traversal into the real
-	// internal/directory package, so that package must be part of the
-	// analyzed program, not just an import.
-	if name == "callgraph" {
-		p, err := l.LoadDir(filepath.Join("..", "directory"), "ccnuma/internal/directory")
-		if err != nil {
-			t.Fatalf("loading internal/directory for callgraph corpus: %v", err)
-		}
-		pkgs = append(pkgs, p)
 	}
 	return pkgs
 }
@@ -87,7 +74,7 @@ func TestCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	suite := &Suite{Cfg: corpusConfig()}
-	for _, name := range []string{"determinism", "hotpath", "tracerguard", "faultpurity", "laneconfined", "callgraph", "laneescape", "directive"} {
+	for _, name := range []string{"determinism", "hotpath", "tracerguard", "faultpurity", "directive"} {
 		t.Run(name, func(t *testing.T) {
 			pkgs := loadCorpus(t, l, name)
 			got := render(t, suite.Run(pkgs))
@@ -129,85 +116,6 @@ func TestDisableCheck(t *testing.T) {
 	diags := suite.Run(loadCorpus(t, l, "determinism"))
 	for _, d := range diags {
 		t.Errorf("unexpected finding with determinism disabled: %s", d)
-	}
-}
-
-// TestCallGraphEdgeCases asserts per-entry polarity across the dispatch
-// shapes the whole-program traversal must handle: each bad entry point is
-// flagged through its shape (deep chain, interface, function value,
-// recursion, cross-package, closure, staleness) and no good mirror is.
-// TestCorpus's golden comparison pins the exact diagnostics; this test keeps
-// the coverage honest even across -update runs.
-func TestCallGraphEdgeCases(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := &Suite{Cfg: corpusConfig()}
-	got := render(t, suite.Run(loadCorpus(t, l, "callgraph")))
-
-	for _, entry := range []string{
-		"ViaHelpers", "ViaIface", "ViaHook", "ViaRecursion", "ViaDirectory", "ViaClosure",
-	} {
-		if !strings.Contains(got, entry+" is lane-confined") {
-			t.Errorf("bad entry %s produced no finding:\n%s", entry, got)
-		}
-	}
-	if !strings.Contains(got, "orphan is stale") &&
-		!strings.Contains(got, "lane-confined directive on orphan is stale") {
-		t.Errorf("stale annotation on orphan not reported:\n%s", got)
-	}
-	if strings.Contains(got, "/good/") {
-		t.Errorf("good mirrors produced findings:\n%s", got)
-	}
-	if !strings.Contains(got, "FlushPending") && !strings.Contains(got, "directory") {
-		t.Errorf("cross-package chain through internal/directory missing:\n%s", got)
-	}
-}
-
-// TestConfinementGolden pins the machine-readable confinement report for
-// the repository itself: the same JSON numalint -confinement-json emits and
-// make lint-confinement diffs in CI. Regenerate with -update after changing
-// annotations or the analysis.
-func TestConfinementGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short")
-	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.Load(filepath.Join(l.ModRoot, "..."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := &Suite{Cfg: DefaultConfig()}
-	diags, rep := suite.RunReport(pkgs, l.ModRoot)
-	for _, d := range diags {
-		t.Errorf("real tree: %s", d)
-	}
-	if rep == nil {
-		t.Fatal("no confinement report produced")
-	}
-	var b strings.Builder
-	if err := WriteConfinementJSON(&b, rep); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
-
-	golden := filepath.Join("testdata", "confinement.golden.json")
-	if *update {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("confinement report differs from %s\ngot:\n%swant:\n%s", golden, got, want)
 	}
 }
 

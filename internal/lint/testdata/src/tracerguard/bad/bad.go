@@ -1,12 +1,9 @@
 // Package bad seeds unguarded emitter call sites: argument construction
 // that runs even when the instrument is disabled — tracer emits, recorder
-// records, and shard-stats hooks alike.
+// records alike.
 package bad
 
-import (
-	"ccnuma/internal/obs"
-	"ccnuma/internal/sim"
-)
+import "ccnuma/internal/obs"
 
 type pager struct {
 	Obs *obs.Tracer
@@ -39,9 +36,4 @@ func RecordUnguarded(r *obs.Recorder, page int64) {
 	e := obs.NewEvent(obs.KindPageMigrated)
 	e.Page = page
 	r.Record(e)
-}
-
-// StatsUnguarded calls a shard-stats hook with no nil check.
-func StatsUnguarded(st *sim.ShardStats, lane int) {
-	st.NoteDispatch(lane, 10)
 }

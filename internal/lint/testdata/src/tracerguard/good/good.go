@@ -1,12 +1,9 @@
 // Package good holds the guarded emit patterns tracerguard must accept:
 // the enclosing On() branch, the early-return guard clause, and an explicit
-// nil comparison — for the tracer, the recorder, and shard stats.
+// nil comparison — for the tracer and the recorder.
 package good
 
-import (
-	"ccnuma/internal/obs"
-	"ccnuma/internal/sim"
-)
+import "ccnuma/internal/obs"
 
 type pager struct {
 	Obs *obs.Tracer
@@ -47,10 +44,12 @@ func RecordGuarded(r *obs.Recorder, page int64) {
 	}
 }
 
-// StatsGuarded proves the stats collector non-nil before the hook, the
-// init-statement shape the engine's hot path uses.
-func StatsGuarded(st *sim.ShardStats, lane int) {
-	if s := st; s != nil {
-		s.NoteCross(lane, lane+1)
+// RecordInitGuarded proves the recorder non-nil in an if-statement's init
+// clause before recording.
+func RecordInitGuarded(r *obs.Recorder, page int64) {
+	if rr := r; rr != nil {
+		e := obs.NewEvent(obs.KindPageMigrated)
+		e.Page = page
+		rr.Record(e)
 	}
 }

@@ -9,16 +9,16 @@ import (
 // tracerguard keeps a disabled instrument at its one-branch cost: building
 // an obs.Event just to hand it to a nil tracer's no-op Emit still pays for
 // the event construction, so every call to a guarded emitter method
-// (Config.Guarded: obs.Tracer Emit/EmitNow, obs.Recorder Record,
-// sim.ShardStats Note*) must sit behind the nil-check branch pattern —
-// either an enclosing `if tr.On()` / `if tr != nil` branch or a preceding
-// `if !tr.On() { return }` guard clause. Only methods of the guarded type
+// (Config.Guarded: obs.Tracer Emit/EmitNow, obs.Recorder Record) must sit
+// behind the nil-check branch pattern — either an enclosing `if tr.On()` /
+// `if tr != nil` branch or a preceding `if !tr.On() { return }` guard
+// clause. Only methods of the guarded type
 // itself are exempt: they implement the nil tolerance the guard relies on,
 // and everything else — including other types in the same package that
 // forward into an emitter — is held to the pattern.
 var tracerguard = &Analyzer{
 	Name: "tracerguard",
-	Doc:  "require every guarded emitter call site (tracer/recorder/shard-stats) to sit behind an On()/nil guard",
+	Doc:  "require every guarded emitter call site (tracer/recorder) to sit behind an On()/nil guard",
 	Run:  runTracerguard,
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"ccnuma/internal/sim"
 )
 
 // Chrome trace-event export: the JSON object format of the Trace Event
@@ -24,9 +22,6 @@ const (
 	machinePID = 1 << 16
 	// kernelTID is the synthetic thread id for events without a CPU context.
 	kernelTID = 1 << 16
-	// lanePID is the synthetic process id for the sharded engine's lane
-	// tracks (one thread per lane, epoch/window slices, mailbox counter).
-	lanePID = 1 << 17
 )
 
 func chromePID(e Event) int {
@@ -54,16 +49,6 @@ type track struct{ pid, tid int }
 // WriteChromeTrace writes the buffered events as Chrome trace-event JSON.
 // Output is byte-deterministic for a deterministic event sequence.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return t.WriteChromeTraceWith(w, nil)
-}
-
-// WriteChromeTraceWith writes the buffered events as Chrome trace-event
-// JSON, and — when st is non-nil — appends the sharded engine's lane tracks:
-// a "lanes" process with one thread per lane, an epoch/window slice per lane
-// carrying its dispatch count, and a mailbox-drain counter track. Output is
-// byte-deterministic for a deterministic event sequence (lane tracks carry
-// only virtual-time fields).
-func (t *Tracer) WriteChromeTraceWith(w io.Writer, st *sim.ShardStats) error {
 	t.Sort()
 	evs := t.Events()
 
@@ -122,32 +107,6 @@ func (t *Tracer) WriteChromeTraceWith(w io.Writer, st *sim.ShardStats) error {
 	for _, e := range evs {
 		emit(`{"name":%q,"ph":"i","s":"t","ts":%s,"pid":%d,"tid":%d,"args":{%s}}`,
 			e.Kind.String(), chromeTS(int64(e.At)), chromePID(e), chromeTID(e), chromeArgs(e))
-	}
-
-	if st != nil && st.Lanes() > 0 {
-		emit(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":"lanes"}}`, lanePID)
-		for i := 0; i < st.Lanes(); i++ {
-			emit(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"lane%d"}}`,
-				lanePID, i, i)
-		}
-		slice := "window"
-		if st.Epochs() > 0 {
-			slice = "epoch"
-		}
-		for wi := 0; wi < st.Windows(); wi++ {
-			start, end, drained, dispatch := st.WindowAt(wi)
-			for lane, n := range dispatch {
-				if n == 0 {
-					continue
-				}
-				emit(`{"name":%q,"ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":{"dispatched":%d}}`,
-					slice, chromeTS(int64(start)), chromeTS(int64(end-start)), lanePID, lane, n)
-			}
-			if st.Epochs() > 0 {
-				emit(`{"name":"mailbox-drain","ph":"C","ts":%s,"pid":%d,"tid":0,"args":{"posts":%d}}`,
-					chromeTS(int64(end)), lanePID, drained)
-			}
-		}
 	}
 
 	bw.WriteString("\n]}\n")

@@ -10,9 +10,8 @@ import "sync"
 // The ring is sized once at construction and never grows — recording into a
 // full ring overwrites the oldest slot, so steady-state recording allocates
 // nothing (pinned by TestRecorderSteadyStateZeroAlloc). A mutex serializes
-// Record and Dump: lanes emitting concurrently under RunEpochs and a harness
-// dumping a timed-out run's recorder while its abandoned goroutine is still
-// simulating are both safe. A nil *Recorder is the disabled state and costs
+// Record and Dump, so a harness dumping a timed-out run's recorder while its
+// abandoned goroutine is still simulating is safe. A nil *Recorder is the disabled state and costs
 // the caller one branch (pinned by BenchmarkRecorderDisabled).
 type Recorder struct {
 	mu    sync.Mutex

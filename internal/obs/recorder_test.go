@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"ccnuma/internal/sim"
@@ -159,32 +160,33 @@ func TestRecorderAttachedToBufferingTracer(t *testing.T) {
 	}
 }
 
-// TestRecorderUnderEpochWorkers drives a 4-lane sharded engine in concurrent
-// epoch mode with every lane emitting through one shared flight tracer into
-// one ring. Run under -race in `make ci`; the mutex-guarded ring must lose
-// nothing, whatever the lane interleaving.
-func TestRecorderUnderEpochWorkers(t *testing.T) {
-	const lanes, perLane = 4, 200
+// TestRecorderConcurrentRecordAndDump is the harness-timeout case: an
+// abandoned run keeps emitting into its ring while the harness dumps it.
+// Run under -race in `make ci`; the mutex-guarded ring must lose nothing.
+func TestRecorderConcurrentRecordAndDump(t *testing.T) {
+	const writers, perWriter = 2, 500
 	r := NewRecorder(64)
 	tr := NewFlightTracer(nil, r)
-	sh := sim.NewSharded(lanes, 50)
-	var k sim.Kind
-	k = sh.Register(func(l *sim.Lane, now sim.Time, arg uint64) {
-		e := NewEvent(KindHotPageInterrupt)
-		e.At, e.Node = now, l.Index()
-		tr.Emit(e)
-		if arg >= lanes {
-			// Stay on this lane (laneOf is arg%lanes): epoch handlers may
-			// only touch lane-local state plus the mutex-guarded ring.
-			l.AfterKind(10, k, arg-lanes)
-		}
-	}, func(arg uint64) int { return int(arg) % lanes })
-	for i := 0; i < lanes; i++ {
-		sh.AtKind(sim.Time(i), k, uint64(perLane*lanes+i))
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				e := NewEvent(KindHotPageInterrupt)
+				e.At, e.Node = sim.Time(i), w
+				tr.Emit(e)
+			}
+		}(w)
 	}
-	sh.RunEpochs(lanes, 1<<40)
+	for i := 0; i < 50; i++ {
+		if events, _ := r.Dump(); len(events) > r.Depth() {
+			t.Fatalf("dump returned %d events from a %d-deep ring", len(events), r.Depth())
+		}
+	}
+	wg.Wait()
 
-	const want = lanes * (perLane + 1)
+	const want = writers * perWriter
 	if got := r.Total(); got != want {
 		t.Fatalf("recorder saw %d events, want %d", got, want)
 	}

@@ -58,17 +58,6 @@ type Harness struct {
 	// simulation actually stops within microseconds instead of being
 	// abandoned to burn CPU to its virtual deadline.
 	RunTimeout time.Duration
-	// Shards is forwarded to every run's core.Options.Shards: the number of
-	// per-node event lanes inside each simulation. Purely an execution knob —
-	// shard count is excluded from the options fingerprint, so it can never
-	// perturb memo keys or results.
-	Shards int
-	// EpochWorkers is forwarded to every run's core.Options.Workers: the
-	// number of goroutines driving planner-cleared epoch windows inside each
-	// simulation (distinct from Workers, which parallelizes across
-	// simulations). Like Shards it is fingerprint-erased — byte-identical
-	// results at any worker count.
-	EpochWorkers int
 	// KeepGoing turns a run's final failure into a placeholder Result
 	// (Failed=true) plus a RunFailure record instead of a panic, so the rest
 	// of a grid still completes. Off, the first failure panics with the
@@ -239,8 +228,6 @@ func (h *Harness) Run(wl string, opt core.Options) *core.Result {
 // under KeepGoing); the failed key is evicted, so a later caller re-runs it.
 func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *core.Result {
 	opt.Seed = h.Seed
-	opt.Shards = h.Shards
-	opt.Workers = h.EpochWorkers
 	key := runKey(wl, opt)
 
 	id := fmt.Sprintf("%016x", keyID(key))
@@ -436,8 +423,7 @@ func (h *Harness) runOnce(ctx context.Context, wl string, build func() *workload
 // appended, and caching is the caller's policy (internal/serve keys a
 // bounded LRU on the options fingerprint).
 //
-// Unlike Run, opt is used verbatim: requests carry their own Seed, Shards,
-// and Workers. build is called once per attempt for a fresh spec (specs hold
+// Unlike Run, opt is used verbatim: requests carry their own Seed. build is called once per attempt for a fresh spec (specs hold
 // generator state).
 func (h *Harness) Execute(ctx context.Context, label string, build func() *workload.Spec, opt core.Options) (*core.Result, *RunFailure, error) {
 	id := fmt.Sprintf("%016x", keyID(label+"|"+opt.Fingerprint()))

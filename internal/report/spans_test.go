@@ -202,30 +202,3 @@ func TestFailureWithoutRecorderOmitsEvents(t *testing.T) {
 		t.Fatalf("manifest JSON grew events fields without a recorder: %s", b)
 	}
 }
-
-// TestShardStatsTableRendering checks the ASCII report: deterministic across
-// identical runs, and carrying the lane rows, dispatch bars, and traffic
-// matrix the shard-stats flag prints.
-func TestShardStatsTableRendering(t *testing.T) {
-	if got := ShardStatsTable(nil); got != "shard stats: not collected\n" {
-		t.Fatalf("nil table = %q", got)
-	}
-	run := func() string {
-		h := NewHarness(0.05, 1)
-		h.Shards = 2 // the harness pins the lane count on every run it owns
-		res := h.Run("engineering", core.Options{
-			Duration: 4 * sim.Millisecond, Dynamic: true,
-			CollectShardStats: true,
-		})
-		return ShardStatsTable(res.ShardStats)
-	}
-	table := run()
-	for _, want := range []string{"Shard lanes: 2", "lane0", "lane1", "dispatched"} {
-		if !strings.Contains(table, want) {
-			t.Fatalf("table missing %q:\n%s", want, table)
-		}
-	}
-	if again := run(); again != table {
-		t.Fatalf("table not deterministic:\n--- first\n%s\n--- second\n%s", table, again)
-	}
-}

@@ -29,11 +29,6 @@ type Request struct {
 	// Seed is the run's random seed. Absent means 42, the CLI default; the
 	// pointer keeps an explicit seed of 0 distinct from "use the default".
 	Seed *uint64 `json:"seed,omitempty"`
-	// Shards and Workers are execution knobs (per-node event lanes, guarded
-	// epoch workers). Fingerprint-erased: they cannot change results or
-	// cache keys.
-	Shards  int `json:"shards,omitempty"`
-	Workers int `json:"workers,omitempty"`
 	// DurationNS overrides the workload's run length (simulated time).
 	DurationNS int64 `json:"duration_ns,omitempty"`
 	// Trigger overrides the policy trigger threshold (0 = workload default).
@@ -120,8 +115,6 @@ func (r Request) Build() (*Job, error) {
 	opt := core.Options{
 		Config:   cfg,
 		Seed:     seed,
-		Shards:   r.Shards,
-		Workers:  r.Workers,
 		Duration: sim.Time(r.DurationNS),
 	}
 	switch r.Metric {

@@ -111,22 +111,25 @@ func TestRunByteIdentity(t *testing.T) {
 }
 
 // TestBadRequests: malformed input is answered 400 before any capacity is
-// spent, and never occupies a queue slot.
+// spent, and never occupies a queue slot. Runs are serial, so the retired
+// intra-run concurrency knobs "shards" and "workers" are unknown fields.
 func TestBadRequests(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown()
 	cases := []struct {
-		name, body string
+		name, body, wantErr string
 	}{
-		{"unknown field", `{"workload":"engineering","bogus":1}`},
-		{"unknown workload", `{"workload":"no-such-thing"}`},
-		{"unknown policy", `{"workload":"engineering","policy":"wat"}`},
-		{"unknown config", `{"workload":"engineering","config":"wat"}`},
-		{"unknown metric", `{"workload":"engineering","metric":"wat"}`},
-		{"missing workload", `{}`},
-		{"negative scale", `{"workload":"engineering","scale":-1}`},
-		{"bad fault config", `{"workload":"engineering","faults":{"drop_batch":2}}`},
-		{"not json", `hello`},
+		{"unknown field", `{"workload":"engineering","bogus":1}`, ""},
+		{"retired shards", `{"workload":"engineering","shards":4}`, `parse: json: unknown field "shards"`},
+		{"retired workers", `{"workload":"engineering","workers":2}`, `parse: json: unknown field "workers"`},
+		{"unknown workload", `{"workload":"no-such-thing"}`, ""},
+		{"unknown policy", `{"workload":"engineering","policy":"wat"}`, ""},
+		{"unknown config", `{"workload":"engineering","config":"wat"}`, ""},
+		{"unknown metric", `{"workload":"engineering","metric":"wat"}`, ""},
+		{"missing workload", `{}`, ""},
+		{"negative scale", `{"workload":"engineering","scale":-1}`, ""},
+		{"bad fault config", `{"workload":"engineering","faults":{"drop_batch":2}}`, ""},
+		{"not json", `hello`, ""},
 	}
 	for _, c := range cases {
 		rec := post(s, c.body)
@@ -136,6 +139,9 @@ func TestBadRequests(t *testing.T) {
 		var eb errorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
 			t.Errorf("%s: error body unparseable: %s", c.name, rec.Body.String())
+		}
+		if c.wantErr != "" && eb.Error != c.wantErr {
+			t.Errorf("%s: error %q, want %q", c.name, eb.Error, c.wantErr)
 		}
 	}
 	if rec := get(s, "/run"); rec.Code != http.StatusMethodNotAllowed {

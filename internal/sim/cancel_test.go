@@ -51,88 +51,3 @@ func TestEngineRunCancel(t *testing.T) {
 		t.Fatalf("cancelled run drained the queue: fired %d", eng.Fired())
 	}
 }
-
-// TestShardedSerialCancel covers the serialized-merge RunUntil loop.
-func TestShardedSerialCancel(t *testing.T) {
-	const lanes = 3
-	s := NewSharded(lanes, 0)
-	var k Kind
-	k = s.Register(func(l *Lane, now Time, arg uint64) {
-		if arg < chainEvents {
-			s.AtKind(now+1, k, arg+1)
-		}
-	}, func(arg uint64) int { return int(arg % lanes) })
-	s.AtKind(0, k, 0)
-
-	s.SetCancel(func() bool { return s.Fired() >= 5000 })
-	s.RunUntil(Second)
-
-	if s.Fired() >= chainEvents {
-		t.Fatalf("cancelled run drained the queue: fired %d", s.Fired())
-	}
-	if s.Fired() > 5000+cancelMask+1 {
-		t.Fatalf("run overshot the cancellation stride: fired %d", s.Fired())
-	}
-}
-
-// TestShardedEpochsCancel covers the legacy concurrent epoch loop, which
-// polls at every barrier: a predicate that trips after a few epochs must stop
-// the run with most of the chain unfired.
-func TestShardedEpochsCancel(t *testing.T) {
-	const lanes = 3
-	s := NewSharded(lanes, 50)
-	var k Kind
-	k = s.Register(func(l *Lane, now Time, arg uint64) {
-		if now < Time(chainEvents) {
-			l.AtKind(now+100, k, arg)
-		}
-	}, func(arg uint64) int { return int(arg % lanes) })
-	for i := 0; i < lanes; i++ {
-		s.AtKind(Time(i+1), k, uint64(i))
-	}
-
-	polls := 0
-	s.SetCancel(func() bool { polls++; return polls > 3 })
-	s.RunEpochs(2, Time(chainEvents))
-
-	if polls == 0 {
-		t.Fatal("epoch loop never polled the cancellation predicate")
-	}
-	if s.Fired() >= uint64(chainEvents/100*lanes/2) {
-		t.Fatalf("cancelled epoch run fired too much of the chain: %d", s.Fired())
-	}
-}
-
-// cancelPlanner admits every event, so the guarded loop spends its time in
-// windows and the fired counter advances in whole-window jumps — the case the
-// fired-delta poll exists for.
-type cancelPlanner struct{}
-
-func (cancelPlanner) Guardable(WindowEvent) bool                   { return true }
-func (cancelPlanner) PlanWindow(_, end Time, _ []WindowEvent) Time { return end }
-
-// TestGuardedCancel covers guarded mode: window folds jump the fired counter
-// past exact stride boundaries, and the run must still stop early.
-func TestGuardedCancel(t *testing.T) {
-	const lanes = 4
-	s := NewSharded(lanes, 50)
-	var k Kind
-	k = s.Register(func(l *Lane, now Time, arg uint64) {
-		if now < Time(chainEvents) {
-			l.AtKind(now+100, k, arg)
-		}
-	}, func(arg uint64) int { return int(arg % lanes) })
-	for i := 0; i < lanes; i++ {
-		// Distinct instants so windows actually form (cross-lane ties
-		// serialize).
-		s.AtKind(Time(1+13*i), k, uint64(i))
-	}
-	s.SetPlanner(cancelPlanner{})
-
-	s.SetCancel(func() bool { return s.Fired() >= 2000 })
-	s.RunEpochs(2, Time(chainEvents))
-
-	if s.Fired() >= uint64(chainEvents/100*lanes/2) {
-		t.Fatalf("cancelled guarded run fired too much of the chain: %d", s.Fired())
-	}
-}

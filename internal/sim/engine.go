@@ -52,7 +52,7 @@ type Engine struct {
 	// Periodic schedules share one registered kind (periodicKind) whose arg
 	// indexes periodics, so calling Every any number of times grows the
 	// handler table by at most one entry — repeated periodic scheduling must
-	// be O(1) in table growth (a sharded engine re-arms periodics per epoch).
+	// be O(1) in table growth.
 	periodics    []periodic
 	periodicKind Kind
 	hasPeriodic  bool

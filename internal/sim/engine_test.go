@@ -292,3 +292,18 @@ func TestRandGeometricMean(t *testing.T) {
 		t.Fatalf("geometric mean = %v, want ~8", mean)
 	}
 }
+
+// TestEveryHandlerTableGrowth pins the periodic-scheduling contract: any
+// number of Every calls grows the handler table by at most one entry.
+func TestEveryHandlerTableGrowth(t *testing.T) {
+	var eng Engine
+	eng.Register(func(Time, uint64) {}) // unrelated registration
+	base := len(eng.handlers)
+	for i := 0; i < 1000; i++ {
+		eng.Every(Time(i+1), func(Time) {}, func() bool { return true })
+	}
+	if got := len(eng.handlers) - base; got != 1 {
+		t.Fatalf("1000 Every calls grew the Engine handler table by %d entries, want 1", got)
+	}
+	eng.Run() // every periodic stops after one firing
+}
