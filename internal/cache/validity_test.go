@@ -58,18 +58,46 @@ func TestValidityParkingPreservesStamps(t *testing.T) {
 	}
 }
 
-// TestValiditySingleNodeCompat pins the construct-and-bump pattern: stamps
-// work without any Assign, on one node or many.
+// TestValiditySingleNodeCompat pins the construct-and-bump pattern on a
+// one-node machine: stamps work without any Assign.
 func TestValiditySingleNodeCompat(t *testing.T) {
-	for _, nodes := range []int{1, 4} {
-		v := NewValidity(4, nodes)
-		l := mem.GPage(2).Line(7)
-		if got := v.BumpLine(l); got != 1 {
-			t.Fatalf("nodes=%d: first bump = %d, want 1", nodes, got)
+	v := NewValidity(4, 1)
+	l := mem.GPage(2).Line(7)
+	if got := v.BumpLine(l); got != 1 {
+		t.Fatalf("first bump = %d, want 1", got)
+	}
+	v.BumpPage(2)
+	if v.PageEpoch(2) != 1 {
+		t.Fatalf("epoch %d after one bump", v.PageEpoch(2))
+	}
+}
+
+// TestValidityUnhomedBumps pins the boundary behaviour for a page that was
+// never placed on any node of a multi-node machine. The flat tables have no
+// unhomed state: releasing such a page bumps its epoch like any other,
+// writing one of its lines bumps that line's version, neither touches a
+// neighbouring page, and placing the page afterwards keeps both stamps.
+func TestValidityUnhomedBumps(t *testing.T) {
+	v := NewValidity(4, 2)
+	p := mem.GPage(1)
+	v.BumpPage(p)
+	if got := v.PageEpoch(p); got != 1 {
+		t.Fatalf("release of a never-placed page: epoch %d, want 1", got)
+	}
+	if got := v.BumpLine(p.Line(0)); got != 1 {
+		t.Fatalf("write to a never-placed page: line version %d, want 1", got)
+	}
+	for _, q := range []mem.GPage{0, 2} {
+		if v.PageEpoch(q) != 0 || v.LineVersion(q.Line(0)) != 0 {
+			t.Fatalf("bumps on page %d leaked into page %d", p, q)
 		}
-		v.BumpPage(2)
-		if v.PageEpoch(2) != 1 {
-			t.Fatalf("nodes=%d: epoch %d after one bump", nodes, v.PageEpoch(2))
-		}
+	}
+	if v.LineVersion(p.Line(mem.LinesPerPage-1)) != 0 {
+		t.Fatal("a line write bumped another line of the same page")
+	}
+	v.Assign(p, 1)
+	if v.PageEpoch(p) != 1 || v.LineVersion(p.Line(0)) != 1 {
+		t.Fatalf("placing the page reset its stamps: epoch %d, line version %d",
+			v.PageEpoch(p), v.LineVersion(p.Line(0)))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"ccnuma/internal/obs"
@@ -16,35 +17,33 @@ import (
 	"ccnuma/internal/workload"
 )
 
-// runExports renders every deterministic export of a result: the stats
+// writeExports renders every deterministic export of a result: the stats
 // summary, the observability events JSONL, and the time-series (CSV and
 // JSONL).
-func runExports(t *testing.T, res *Result) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "elapsed=%d steps=%d events=%d\n", res.Elapsed, res.Steps, res.Events)
-	fmt.Fprintf(&b, "agg=%+v\n", res.Agg)
+func writeExports(b *bytes.Buffer, res *Result) error {
+	fmt.Fprintf(b, "elapsed=%d steps=%d events=%d\n", res.Elapsed, res.Steps, res.Events)
+	fmt.Fprintf(b, "agg=%+v\n", res.Agg)
 	for i := range res.PerCPU {
-		fmt.Fprintf(&b, "cpu%d=%+v\n", i, res.PerCPU[i])
+		fmt.Fprintf(b, "cpu%d=%+v\n", i, res.PerCPU[i])
 	}
-	fmt.Fprintf(&b, "vm=%+v alloc=%+v counters=%+v\n", res.VM, res.Alloc, res.Counters)
-	fmt.Fprintf(&b, "actions=%+v sched=%d local=%.9f remote=%d\n",
+	fmt.Fprintf(b, "vm=%+v alloc=%+v counters=%+v\n", res.VM, res.Alloc, res.Counters)
+	fmt.Fprintf(b, "actions=%+v sched=%d local=%.9f remote=%d\n",
 		res.Actions, res.SchedMigrations, res.LocalMissFraction, res.AvgRemoteLatency)
-	fmt.Fprintf(&b, "contention=%+v faults=%+v\n", res.Contention, res.Faults)
+	fmt.Fprintf(b, "contention=%+v faults=%+v\n", res.Contention, res.Faults)
 	if res.ObsEvents != nil {
-		if err := res.ObsEvents.WriteJSONL(&b); err != nil {
-			t.Fatal(err)
+		if err := res.ObsEvents.WriteJSONL(b); err != nil {
+			return err
 		}
 	}
 	if res.Series != nil {
-		if err := res.Series.WriteCSV(&b); err != nil {
-			t.Fatal(err)
+		if err := res.Series.WriteCSV(b); err != nil {
+			return err
 		}
-		if err := res.Series.WriteJSONL(&b); err != nil {
-			t.Fatal(err)
+		if err := res.Series.WriteJSONL(b); err != nil {
+			return err
 		}
 	}
-	return b.Bytes()
+	return nil
 }
 
 // exportCases are the golden workload/option combinations the exports golden
@@ -101,19 +100,52 @@ const exportsGolden = "testdata/run_exports.sha256"
 // truncation marker), which follows the dispatch order exactly.
 func recordedExports(t *testing.T, spec *workload.Spec, opt Options) []byte {
 	t.Helper()
-	opt.Recorder = obs.NewRecorder(128)
-	res, err := Run(spec, opt)
+	out, err := exportBundle(spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := runExports(t, res)
-	events, dropped := opt.Recorder.Dump()
+	return out
+}
+
+// exportBundle is recordedExports without the testing.T, so concurrent runs
+// can report their errors back to the test goroutine.
+func exportBundle(spec *workload.Spec, opt Options) ([]byte, error) {
+	opt.Recorder = obs.NewRecorder(128)
+	res, err := Run(spec, opt)
+	if err != nil {
+		return nil, err
+	}
 	var b bytes.Buffer
+	if err := writeExports(&b, res); err != nil {
+		return nil, err
+	}
+	events, dropped := opt.Recorder.Dump()
 	fmt.Fprintf(&b, "recorder dropped=%d\n", dropped)
 	for _, e := range events {
 		fmt.Fprintf(&b, "%+v\n", e)
 	}
-	return append(out, b.Bytes()...)
+	return b.Bytes(), nil
+}
+
+// readExportsGolden parses the checked-in digests into case name → digest.
+func readExportsGolden(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(filepath.FromSlash(exportsGolden))
+	if err != nil {
+		t.Fatalf("%v (run with -update to create the golden)", err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if fields := strings.Fields(sc.Text()); len(fields) == 2 {
+			want[fields[1]] = fields[0]
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
 }
 
 // TestRunExportsGolden is the byte reference for the whole event path: for
@@ -124,20 +156,7 @@ func recordedExports(t *testing.T, spec *workload.Spec, opt Options) []byte {
 func TestRunExportsGolden(t *testing.T) {
 	want := map[string]string{}
 	if !*update {
-		f, err := os.Open(filepath.FromSlash(exportsGolden))
-		if err != nil {
-			t.Fatalf("%v (run with -update to create the golden)", err)
-		}
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			if fields := strings.Fields(sc.Text()); len(fields) == 2 {
-				want[fields[1]] = fields[0]
-			}
-		}
-		f.Close()
-		if err := sc.Err(); err != nil {
-			t.Fatal(err)
-		}
+		want = readExportsGolden(t)
 	}
 	var golden bytes.Buffer
 	for _, tc := range exportCases() {
@@ -154,5 +173,44 @@ func TestRunExportsGolden(t *testing.T) {
 		if err := os.WriteFile(filepath.FromSlash(exportsGolden), golden.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestShardNeutrality is the cross-run determinism hammer. Every run is one
+// serial event engine; the host concurrency that remains is several runs
+// executing side by side in one process, as experiments -j workers and
+// numasimd run slots do. For every golden case, two copies run concurrently
+// with each other and with the other cases, and each must hash to the
+// checked-in digest: no run may observe another through shared package
+// state. make ci runs it under -race.
+func TestShardNeutrality(t *testing.T) {
+	want := readExportsGolden(t)
+	for _, tc := range exportCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			const copies = 2
+			sums := make([]string, copies)
+			errs := make([]error, copies)
+			var wg sync.WaitGroup
+			for i := 0; i < copies; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					out, err := exportBundle(tc.spec(), tc.opt)
+					sum := sha256.Sum256(out)
+					sums[i], errs[i] = hex.EncodeToString(sum[:]), err
+				}(i)
+			}
+			wg.Wait()
+			for i := range sums {
+				if errs[i] != nil {
+					t.Fatalf("copy %d: %v", i, errs[i])
+				}
+				if sums[i] != want[tc.name] {
+					t.Errorf("copy %d: exports digest %s under concurrent runs, golden %q",
+						i, sums[i], want[tc.name])
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"ccnuma/internal/obs"
@@ -73,4 +75,31 @@ func TestObservationAbsentFromFingerprint(t *testing.T) {
 		t.Fatalf("the recorder pointer leaked into the fingerprint:\n%s\n%s",
 			a.Fingerprint(), b.Fingerprint())
 	}
+}
+
+// retiredKnobAbsent checks that an execution-only engine knob from the
+// retired intra-run concurrency layer is neither an Options field nor part
+// of the fingerprint text that memo and coalescing keys are built from.
+func retiredKnobAbsent(t *testing.T, field string) {
+	t.Helper()
+	if _, ok := reflect.TypeOf(Options{}).FieldByName(field); ok {
+		t.Fatalf("Options.%s is back: runs are serial, so there is nothing for it to tune", field)
+	}
+	if fp := (Options{Seed: 9, Dynamic: true}).Fingerprint(); strings.Contains(fp, field+":") {
+		t.Fatalf("the fingerprint names %s:\n%s", field, fp)
+	}
+}
+
+// TestShardsAbsentFromFingerprint pins that the shard count stays retired:
+// every run goes through the single-heap engine, so no shard setting can
+// reach Options or split a memo key.
+func TestShardsAbsentFromFingerprint(t *testing.T) {
+	retiredKnobAbsent(t, "Shards")
+}
+
+// TestWorkersAbsentFromFingerprint pins the same for the per-run worker
+// count: parallelism lives across runs (experiments -j, numasimd slots),
+// never inside one, so no worker setting can reach Options or a memo key.
+func TestWorkersAbsentFromFingerprint(t *testing.T) {
+	retiredKnobAbsent(t, "Workers")
 }

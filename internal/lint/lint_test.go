@@ -74,7 +74,7 @@ func TestCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	suite := &Suite{Cfg: corpusConfig()}
-	for _, name := range []string{"determinism", "hotpath", "tracerguard", "faultpurity", "directive"} {
+	for _, name := range []string{"determinism", "hotpath", "tracerguard", "faultpurity", "directive", "laneconfined", "laneescape"} {
 		t.Run(name, func(t *testing.T) {
 			pkgs := loadCorpus(t, l, name)
 			got := render(t, suite.Run(pkgs))

@@ -1,58 +1,21 @@
-// Package bad seeds the confinement violations the laneconfined check must
-// reject: a lane-confined function reading and writing machine-global struct
-// fields (directly and through a selector chain) and a machine-global
-// package var.
+// Package bad keeps suppressions of the retired laneconfined check. Runs
+// are serial, so kernel state is machine-global and no check confines it
+// any more: each such allow names an unknown check and must be deleted.
 package bad
 
-type engine struct {
-	//numalint:machine-global
-	now int64
-	//numalint:machine-global
-	seq uint64
-	//numalint:machine-global
-	merge *mergeState
+var frames [4]int
 
-	lanes []lane
+// Grab takes a frame from a node's pool, once audited as a cross-lane read.
+func Grab(node int) int {
+	//numalint:allow laneconfined the pool belonged to the home lane
+	n := frames[node]
+	frames[node] = n - 1
+	return n
 }
 
-// mergeState is barrier-owned scratch reached through the machine-global
-// merge pointer.
-type mergeState struct{ tally int64 }
-
-type lane struct {
-	s     *engine
-	local int64
-}
-
-//numalint:machine-global
-var fired uint64
-
-// Run is lane-confined yet touches all three machine-global identifiers:
-// a read of the clock, a write of the sequence counter through the lane's
-// back-pointer, and an increment of the package-level tally.
-//
-//numalint:lane-confined
-func (l *lane) Run() {
-	l.local = l.s.now
-	l.s.seq++
-	fired++
-}
-
-// RunAlias smuggles the global out through local aliases: the direct read
-// that creates the alias is one finding, and every later use of an alias —
-// including an alias of the alias — is another.
-//
-//numalint:lane-confined
-func (l *lane) RunAlias(t int64) {
-	m := l.s.merge
-	m.tally = t
-	m2 := m
-	m2.tally++
-}
-
-// Merge is unannotated: the barrier owns the globals and may touch them.
-func (e *engine) Merge() {
-	e.now++
-	e.seq++
-	fired++
+// Steal moves a frame between pools; its allow also lost its reason.
+func Steal(from, to int) {
+	//numalint:allow laneconfined
+	frames[from]--
+	frames[to]++
 }

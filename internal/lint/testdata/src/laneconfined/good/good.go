@@ -1,47 +1,19 @@
-// Package good holds the confinement idioms the laneconfined check must
-// accept: lane-confined code working purely on lane-local state (including a
-// field named like a global on a different type) and unannotated code using
-// the globals freely.
+// Package good is the same frame-pool code with the retired suppressions
+// removed: touching machine-global state needs no directive, so it lints
+// clean.
 package good
 
-type engine struct {
-	//numalint:machine-global
-	now int64
+var frames [4]int
 
-	lanes []lane
+// Grab takes a frame from a node's pool.
+func Grab(node int) int {
+	n := frames[node]
+	frames[node] = n - 1
+	return n
 }
 
-type lane struct {
-	// now is this lane's local clock: same name as the engine's global,
-	// different object, so the check must not confuse them.
-	now   int64
-	jrnl  []int64
-	local int64
-}
-
-// Run is lane-confined and touches only lane-local state; the lane's own
-// now field shadows the global's name without being it.
-//
-//numalint:lane-confined
-func (l *lane) Run() {
-	l.now++
-	l.jrnl = append(l.jrnl, l.local)
-}
-
-// RunAlias aliases only lane-owned state: the alias machinery must not
-// taint locals rooted in the lane itself.
-//
-//numalint:lane-confined
-func (l *lane) RunAlias() {
-	j := l.jrnl
-	j = append(j, l.local)
-	l.jrnl = j
-}
-
-// Merge is the barrier: unannotated, so the machine-global clock is fair
-// game.
-func (e *engine) Merge() {
-	for i := range e.lanes {
-		e.now += e.lanes[i].local
-	}
+// Steal moves a frame between pools.
+func Steal(from, to int) {
+	frames[from]--
+	frames[to]++
 }

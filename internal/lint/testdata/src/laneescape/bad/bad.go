@@ -1,55 +1,29 @@
-// Package bad seeds the escape hatches the laneescape check must reject:
-// go statements and channel sends reachable from lane-confined code, and
-// machine-global-derived values handed to lane-confined code as arguments.
+// Package bad keeps suppressions of the retired laneescape check inside a
+// hot-path function. A stale allow names an unknown check and suppresses
+// nothing: the live hotpath finding under it is still reported, while an
+// audited hotpath allow stacked under a stale one keeps working.
 package bad
 
-type engine struct {
-	//numalint:machine-global
-	now int64
+import "fmt"
 
-	lanes []lane
-	wake  chan int64
+type cpu struct {
+	node  int
+	wakes []int
 }
 
-type lane struct {
-	s     *engine
-	local int64
-}
-
-// Spawn is lane-confined yet forks a goroutine: the spawned work outlives
-// the window's ordering guarantees.
+// Wake queues a wake-up for a CPU.
 //
-//numalint:lane-confined
-func (l *lane) Spawn() {
-	go func() { l.local++ }()
-}
-
-// Send is lane-confined yet pushes on a channel shared with the barrier.
-//
-//numalint:lane-confined
-func (l *lane) Send(v int64) {
-	l.s.wake <- v
-}
-
-// SpillDeep hides the send one call down; the finding must carry the chain.
-//
-//numalint:lane-confined
-func (l *lane) SpillDeep(v int64) { l.relay(v) }
-
-func (l *lane) relay(v int64) { l.s.wake <- v }
-
-// Deliver is confined and clean in itself — the violations are at its call
-// sites in Feed, where machine-global-derived values flow in by argument.
-//
-//numalint:lane-confined
-func (l *lane) Deliver(v int64) { l.local = v }
-
-// Feed runs at the barrier (unannotated) but leaks the machine-global clock
-// into confined code: once directly, once through an alias chain.
-func (e *engine) Feed() {
-	l := &e.lanes[0]
-	l.Deliver(e.now)
-	t := e.now
-	u := t
-	l.Deliver(u + 1)
+//numalint:hotpath
+func (c *cpu) Wake(target int) {
+	//numalint:allow laneescape the wake crossed lanes through the mailbox
+	c.wakes = append(c.wakes, target)
+	if target < 0 {
+		//numalint:allow laneescape the panic used to name the source lane
+		panic(fmt.Sprintf("cpu on node %d woke %d", c.node, target))
+	}
+	if target > 1<<20 {
+		//numalint:allow laneescape the panic used to name the source lane
+		//numalint:allow hotpath the message is built only on a kernel bug
+		panic(fmt.Sprintf("cpu on node %d woke %d", c.node, target))
+	}
 }

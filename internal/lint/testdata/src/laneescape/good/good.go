@@ -1,52 +1,21 @@
-// Package good holds the boundary idioms the laneescape check must accept:
-// the barrier using goroutines and channels freely, and only lane-owned
-// values flowing into confined code.
+// Package good is the same hot-path wake code with the retired
+// suppressions removed and the one audited hotpath allow kept.
 package good
 
-type engine struct {
-	//numalint:machine-global
-	now int64
+import "fmt"
 
-	lanes []lane
+type cpu struct {
+	node  int
+	wakes []int
 }
 
-type lane struct {
-	s     *engine
-	local int32
-	jrnl  []int32
-}
-
-// Deliver is confined; every value handed to it below is lane-owned.
+// Wake queues a wake-up for a CPU.
 //
-//numalint:lane-confined
-func (l *lane) Deliver(v int32) { l.local = v }
-
-// Journal is confined and appends to the lane-owned journal — the
-// sanctioned way to publish effects (the barrier drains it serially).
-//
-//numalint:lane-confined
-func (l *lane) Journal(v int32) { l.jrnl = append(l.jrnl, v) }
-
-// Merge is the barrier: unannotated, so goroutines, channels, and the
-// machine-global clock are all fair game here.
-func (e *engine) Merge() {
-	done := make(chan int32, len(e.lanes))
-	for i := range e.lanes {
-		l := &e.lanes[i]
-		go func() { done <- l.local }()
+//numalint:hotpath
+func (c *cpu) Wake(target int) {
+	c.wakes = append(c.wakes, target)
+	if target < 0 || target > 1<<20 {
+		//numalint:allow hotpath the message is built only on a kernel bug
+		panic(fmt.Sprintf("cpu on node %d woke %d", c.node, target))
 	}
-	for range e.lanes {
-		e.now += int64(<-done)
-	}
-}
-
-// Feed hands confined code lane-owned values: using the clock to pick WHICH
-// lane is fine — the clock value itself never crosses the boundary.
-func (e *engine) Feed() {
-	l := &e.lanes[int(e.now)%len(e.lanes)]
-	l.Deliver(l.local)
-	l.Journal(l.local + 1)
-	v := e.now
-	v = int64(l.local) // reassigned clean: the alias to the clock is broken
-	l.Deliver(int32(v))
 }
