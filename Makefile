@@ -3,9 +3,21 @@ GO ?= go
 # Tier-1 verification plus formatting, the race detector, and benchmark
 # smoke runs. `make ci` is what a CI job should run.
 .PHONY: ci fmt-check vet lint build test race fault-smoke bench-smoke \
-	obs-bench-smoke serve-smoke serve-bench bench bench-json bench-json-smoke
+	obs-bench-smoke serve-smoke bench
 
-ci: fmt-check vet lint build race fault-smoke bench-smoke obs-bench-smoke serve-smoke bench-json-smoke
+ci: fmt-check vet lint build race fault-smoke bench-smoke obs-bench-smoke serve-smoke
+
+# $(call named,PKG,PATTERN) fails unless every |-separated alternative of
+# PATTERN matches a test or benchmark in PKG (listed with go test -list).
+# go test -run and -bench pass silently on a pattern that names nothing, so
+# without this a renamed test would quietly drop out of the named runs below.
+define named
+	@names=$$($(GO) test -list . $(1)) || exit 1; \
+	for alt in $$(echo '$(2)' | tr '|' ' '); do \
+		echo "$$names" | grep -v '^ok ' | grep -Eq -- "$$alt" || \
+			{ echo "$(1): no test or benchmark matches $$alt"; exit 1; }; \
+	done
+endef
 
 # gofmt -l prints nonconforming files; any output fails the target.
 fmt-check:
@@ -36,60 +48,45 @@ test:
 # second run re-executes the contention hammers by name with -count=1 so a
 # cached pass can never mask a freshly introduced race in the memo or the
 # panic-isolation path.
+RACE_REPORT = TestSingleflightUnderConcurrency|TestHarnessPanicIsolation|TestHarnessFailureHammer|TestHarnessFailureEvictedFromMemo
+RACE_OBS = TestRecorderConcurrentRecordAndDump
+
 race:
+	$(call named,./internal/report,$(RACE_REPORT))
+	$(call named,./internal/obs,$(RACE_OBS))
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 \
-		-run 'TestSingleflightUnderConcurrency|TestHarnessPanicIsolation|TestHarnessFailureHammer|TestHarnessFailureEvictedFromMemo' \
-		./internal/report
-	$(GO) test -race -count=1 -run 'TestRecorderConcurrentRecordAndDump' ./internal/obs
+	$(GO) test -race -count=1 -run '$(RACE_REPORT)' ./internal/report
+	$(GO) test -race -count=1 -run '$(RACE_OBS)' ./internal/obs
 
 # The chaos suite: a full-fault run (drain + drops + transient allocation
 # failures + slow link) must complete deterministically with invariants
 # intact. Cheap enough to run on every CI pass.
 fault-smoke:
+	$(call named,./internal/core,TestChaos)
 	$(GO) test -run 'TestChaos' -count=1 ./internal/core
 
 # One cheap iteration of the trace-simulator benchmark proves the bench
 # harness still builds and runs end to end.
 bench-smoke:
+	$(call named,.,BenchmarkTraceSimThroughput)
 	BENCH_SCALE=0.1 $(GO) test -run '^$$' -bench BenchmarkTraceSimThroughput -benchtime 1x .
 
 # The disabled-tracer benchmark doubles as the proof that instrumentation
 # costs one branch when off; one iteration keeps CI honest about it building.
+OBS_BENCH = BenchmarkTracerDisabled|BenchmarkRecorderDisabled
+
 obs-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTracerDisabled|BenchmarkRecorderDisabled' -benchtime 1x ./internal/obs
+	$(call named,./internal/obs,$(OBS_BENCH))
+	$(GO) test -run '^$$' -bench '$(OBS_BENCH)' -benchtime 1x ./internal/obs
 
 # End-to-end check of the simulation server: builds the real numasim and
 # numasimd binaries, byte-diffs a served response against `numasim -json`,
 # hammers the bounded queue (only 200s and deliberate 429s allowed), and
 # SIGTERMs the daemon with a request in flight expecting a clean exit 0.
 serve-smoke:
+	$(call named,./cmd/numasimd,TestServeSmoke)
 	$(GO) test -run TestServeSmoke -count=1 ./cmd/numasimd
-
-# Machine-readable record of the serving-layer benchmarks: the warm
-# cache-hit path and the cold full-simulation path, one iteration each,
-# parsed by cmd/benchjson into BENCH_9.json.
-serve-bench:
-	$(GO) test -run '^$$' -bench 'ServeCachedHit|ServeUncached' \
-		-benchmem -benchtime 1x ./internal/serve \
-		| $(GO) run ./cmd/benchjson -out BENCH_9.json
-	@echo wrote BENCH_9.json
 
 # The full paper-regeneration benchmark suite (see bench_test.go).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-
-# Machine-readable record of the throughput benchmarks: one iteration at
-# quarter scale, parsed by cmd/benchjson into BENCH_8.json (ns/op, allocs/op,
-# Mrefs/s, records).
-bench-json:
-	BENCH_SCALE=0.25 $(GO) test -run '^$$' \
-		-bench 'FullSystemEngineering|TraceSimThroughput' -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_8.json
-	@echo wrote BENCH_8.json
-
-# Smoke: prove the bench-to-JSON pipeline parses current go test output.
-bench-json-smoke:
-	BENCH_SCALE=0.1 $(GO) test -run '^$$' \
-		-bench TraceSimThroughput -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson -out /dev/null

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -38,7 +39,6 @@ func main() {
 		dircopy   = flag.Bool("dir-copy", false, "use the directory's pipelined page copy (ablation)")
 		verbose   = flag.Bool("v", false, "print per-CPU and contention detail")
 		missPth   = flag.String("misstrace", "", "write the miss trace to this file")
-		oldMiss   = flag.String("trace", "", "deprecated alias for -misstrace")
 		eventsPth = flag.String("events", "", "write the observability event trace as Chrome trace JSON (load in Perfetto)")
 		jsonlPth  = flag.String("events-jsonl", "", "write the observability event trace as JSONL")
 		seriesPth = flag.String("timeseries", "", "write the sampled time-series as CSV")
@@ -67,9 +67,10 @@ func main() {
 		overheadBudg = flag.Float64("overhead-budget", 0, "shed pager batches above this fraction of CPU time (0 = off)")
 	)
 	flag.Parse()
-	if *missPth == "" && *oldMiss != "" {
-		fmt.Fprintln(os.Stderr, "numasim: -trace is deprecated; use -misstrace")
-		*missPth = *oldMiss
+	if *trigger > math.MaxUint16 {
+		// The policy counters are 16-bit; a wider value must not wrap into a
+		// different threshold (POST /run rejects it the same way).
+		fatal(fmt.Errorf("-trigger %d out of range (maximum %d)", *trigger, math.MaxUint16))
 	}
 
 	// Drain and slow-link faults key off their node flags; the Config fields

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"ccnuma/internal/obs"
@@ -85,7 +87,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 
 // TestEventSinkNeutralAndComplete proves the streaming sink is observation
 // only — results with and without it are identical — and that it sees the
-// exact event sequence the buffering tracer records.
+// exact event sequence the event log records.
 func TestEventSinkNeutralAndComplete(t *testing.T) {
 	base, err := Run(tinySpec(workload.SchedAffinity, 60000),
 		Options{Seed: 7, Dynamic: true, CollectEvents: true})
@@ -109,7 +111,7 @@ func TestEventSinkNeutralAndComplete(t *testing.T) {
 		t.Fatal("sink-only run exposed a buffered tracer")
 	}
 	if len(streamed) != base.ObsEvents.Len() {
-		t.Fatalf("sink saw %d events, buffering tracer recorded %d",
+		t.Fatalf("sink saw %d events, the log recorded %d",
 			len(streamed), base.ObsEvents.Len())
 	}
 	// Emission order (pre-Sort) is not pinned here, only the multiset size;
@@ -123,8 +125,30 @@ func TestEventSinkNeutralAndComplete(t *testing.T) {
 			}
 		}
 		if gotK != want {
-			t.Errorf("kind %v: sink saw %d, tracer recorded %d", k, gotK, want)
+			t.Errorf("kind %v: sink saw %d, the log recorded %d", k, gotK, want)
 		}
+	}
+
+	// With both set, the tracer's one output tees the log and the sink, so
+	// they see the same sequence: sorted the way the log sorts itself, the
+	// sink's events equal the log's exactly.
+	var teed []obs.Event
+	both, err := Run(tinySpec(workload.SchedAffinity, 60000), Options{
+		Seed: 7, Dynamic: true, CollectEvents: true,
+		EventSink: func(e obs.Event) { teed = append(teed, e) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(teed) == 0 {
+		t.Fatal("teed sink saw no events")
+	}
+	sort.SliceStable(teed, func(i, j int) bool { return teed[i].At < teed[j].At })
+	if !reflect.DeepEqual(teed, both.ObsEvents.Events()) {
+		t.Fatalf("sink and log diverge: %d vs %d events", len(teed), both.ObsEvents.Len())
+	}
+	if !reflect.DeepEqual(both.ObsEvents.Events(), base.ObsEvents.Events()) {
+		t.Fatal("adding a sink changed the collected log")
 	}
 }
 

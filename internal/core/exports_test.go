@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,8 +19,8 @@ import (
 )
 
 // writeExports renders every deterministic export of a result: the stats
-// summary, the observability events JSONL, and the time-series (CSV and
-// JSONL).
+// summary, the observability events JSONL, and the time-series (CSV, then
+// one JSON object per sample).
 func writeExports(b *bytes.Buffer, res *Result) error {
 	fmt.Fprintf(b, "elapsed=%d steps=%d events=%d\n", res.Elapsed, res.Steps, res.Events)
 	fmt.Fprintf(b, "agg=%+v\n", res.Agg)
@@ -39,8 +40,11 @@ func writeExports(b *bytes.Buffer, res *Result) error {
 		if err := res.Series.WriteCSV(b); err != nil {
 			return err
 		}
-		if err := res.Series.WriteJSONL(b); err != nil {
-			return err
+		enc := json.NewEncoder(b)
+		for _, sm := range res.Series.Samples() {
+			if err := enc.Encode(sm); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -110,7 +114,8 @@ func recordedExports(t *testing.T, spec *workload.Spec, opt Options) []byte {
 // exportBundle is recordedExports without the testing.T, so concurrent runs
 // can report their errors back to the test goroutine.
 func exportBundle(spec *workload.Spec, opt Options) ([]byte, error) {
-	opt.Recorder = obs.NewRecorder(128)
+	rec := obs.NewRecorder(128)
+	opt.EventSink = rec.Record
 	res, err := Run(spec, opt)
 	if err != nil {
 		return nil, err
@@ -119,7 +124,7 @@ func exportBundle(spec *workload.Spec, opt Options) ([]byte, error) {
 	if err := writeExports(&b, res); err != nil {
 		return nil, err
 	}
-	events, dropped := opt.Recorder.Dump()
+	events, dropped := rec.Dump()
 	fmt.Fprintf(&b, "recorder dropped=%d\n", dropped)
 	for _, e := range events {
 		fmt.Fprintf(&b, "%+v\n", e)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"ccnuma/internal/obs"
 	"ccnuma/internal/policy"
 	"ccnuma/internal/sim"
 	"ccnuma/internal/topology"
@@ -64,26 +63,21 @@ func TestFingerprintStableForEqualOptions(t *testing.T) {
 	}
 }
 
-// TestObservationAbsentFromFingerprint pins the memo contract for the flight
-// recorder: its pointer would make every attempt's memo key unique, and the
-// ring is write-only from the simulation's view, so it is erased.
+// TestObservationAbsentFromFingerprint pins that the flight recorder stays
+// retired as an option: the harness arms it as one more EventSink output, so
+// no recorder pointer can reach Options or split a memo key.
 func TestObservationAbsentFromFingerprint(t *testing.T) {
-	a := Options{Seed: 9, Dynamic: true}
-	b := a
-	b.Recorder = obs.NewRecorder(16)
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("the recorder pointer leaked into the fingerprint:\n%s\n%s",
-			a.Fingerprint(), b.Fingerprint())
-	}
+	retiredKnobAbsent(t, "Recorder")
 }
 
-// retiredKnobAbsent checks that an execution-only engine knob from the
-// retired intra-run concurrency layer is neither an Options field nor part
-// of the fingerprint text that memo and coalescing keys are built from.
+// retiredKnobAbsent checks that a retired execution-only knob (an engine
+// knob of the retired intra-run concurrency layer, or an observation hook
+// now carried by EventSink) is neither an Options field nor part of the
+// fingerprint text that memo and coalescing keys are built from.
 func retiredKnobAbsent(t *testing.T, field string) {
 	t.Helper()
 	if _, ok := reflect.TypeOf(Options{}).FieldByName(field); ok {
-		t.Fatalf("Options.%s is back: runs are serial, so there is nothing for it to tune", field)
+		t.Fatalf("Options.%s is back, but it was retired and nothing reads it", field)
 	}
 	if fp := (Options{Seed: 9, Dynamic: true}).Fingerprint(); strings.Contains(fp, field+":") {
 		t.Fatalf("the fingerprint names %s:\n%s", field, fp)

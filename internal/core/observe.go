@@ -10,42 +10,29 @@ import (
 
 // wireObservability builds the event tracer and time-series sampler the
 // options asked for and hands the tracer to every emitting layer (VM,
-// directory counters, pager). Called once from NewSystem, after the kernel
+// directory counters, pager, fault injector). The tracer's one output tees
+// the event log (CollectEvents) with the caller's EventSink; with neither
+// set there is no tracer. Called once from NewSystem, after the kernel
 // components exist.
 func (s *System) wireObservability() {
-	if s.opt.CollectEvents || s.opt.Recorder.On() || s.opt.EventSink != nil {
-		switch {
-		case s.opt.CollectEvents:
-			s.events = obs.NewTracer(s.eng.Now)
-			// With both asked for, the buffered tracer also mirrors into the
-			// flight recorder's ring.
-			s.events.AttachRecorder(s.opt.Recorder)
-		case s.opt.Recorder.On():
-			// Recorder-only: events flow straight into the bounded ring, no
-			// unbounded buffer, so a flight recorder is cheap enough to leave
-			// on for every harness run.
-			s.events = obs.NewFlightTracer(s.eng.Now, s.opt.Recorder)
-		default:
-			// Sink-only: events stream out as they happen, nothing buffered.
-			s.events = obs.NewStreamTracer(s.eng.Now, s.opt.EventSink)
-		}
-		// A sink composes with either buffering mode (the stream-only case
-		// installed it at construction).
-		if s.opt.EventSink != nil && (s.opt.CollectEvents || s.opt.Recorder.On()) {
-			s.events.AttachSink(s.opt.EventSink)
-		}
-		s.vmm.Obs = s.events
-		s.counters.Obs = s.events
+	var collect func(obs.Event)
+	if s.opt.CollectEvents {
+		s.events = &obs.Log{}
+		collect = s.events.Add
+	}
+	if out := obs.Tee(collect, s.opt.EventSink); out != nil {
+		tr := obs.NewTracer(s.eng.Now, out)
+		s.vmm.Obs = tr
+		s.counters.Obs = tr
 		if s.pg != nil {
-			s.pg.Obs = s.events
+			s.pg.Obs = tr
 		}
 		if s.inj != nil {
-			s.inj.Obs = s.events
+			s.inj.Obs = tr
 		}
 	}
 	if s.opt.SampleInterval > 0 {
 		s.sampler = obs.NewSampler(s.opt.SampleInterval, s.cfg.TotalCPUs(), s.cfg.Nodes)
-		s.sampler.Debug = s.opt.DebugChecks
 		s.prevCPU = make([]obs.CPUSample, s.cfg.TotalCPUs())
 	}
 }
@@ -72,7 +59,7 @@ func (s *System) takeSample(now sim.Time) {
 		CPU:     make([]obs.CPUSample, len(s.cpus)),
 		Node:    make([]obs.NodeSample, s.cfg.Nodes),
 	}
-	if s.sampler.Debug {
+	if s.opt.DebugChecks {
 		// Structural invariants of the kernel state: the allocator's per-node
 		// frame conservation and the VM's mapping consistency. Cheap relative
 		// to a sample interval, and they catch corruption at the tick after
@@ -85,7 +72,7 @@ func (s *System) takeSample(now sim.Time) {
 		}
 	}
 	for i, c := range s.cpus {
-		if s.sampler.Debug {
+		if s.opt.DebugChecks {
 			if err := c.bd.CheckInvariants(); err != nil {
 				panic(fmt.Sprintf("core: cpu%d ledger at %v: %v", i, now, err))
 			}

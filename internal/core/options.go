@@ -97,8 +97,8 @@ type Options struct {
 	// per-CPU breakdown deltas, per-node frame occupancy, counter and engine
 	// gauges every interval of virtual time, into Result.Series.
 	SampleInterval sim.Time
-	// DebugChecks makes the sampler validate accounting invariants
-	// (stats.Breakdown.CheckInvariants) on every sample.
+	// DebugChecks validates accounting and kernel-state invariants
+	// (stats.Breakdown.CheckInvariants, allocator, VM) on every sampler tick.
 	DebugChecks bool
 	// Quantum is the scheduling time slice (default 5 ms).
 	Quantum sim.Time
@@ -116,19 +116,13 @@ type Options struct {
 	// The zero value disables it entirely: no injector is built and the run
 	// is byte-identical to one on a build without the fault layer.
 	Faults fault.Config
-	// Recorder, when non-nil, is the failure flight recorder: every typed
-	// observability event is mirrored into its bounded ring (without the
-	// unbounded buffering of CollectEvents) so a crashed or timed-out run can
-	// dump its last moments. Wiring is an execution detail — the ring is
-	// write-only from the simulation's view — so it too is erased from
-	// Fingerprint.
-	Recorder *obs.Recorder
 	// EventSink, when non-nil, receives every typed observability event as
-	// it is emitted — the streaming path (numasimd progress streams write
-	// them as NDJSON while the run executes). Unlike CollectEvents nothing
-	// is buffered, so a sink is safe on arbitrarily long runs. Observation
-	// only: the sink cannot influence the simulation, so it is erased from
-	// Fingerprint like Recorder.
+	// it is emitted: numasimd progress streams write them as NDJSON
+	// (obs.StreamWriter.Sink), the harness's flight recorder keeps the last
+	// few (obs.Recorder.Record), and obs.Tee combines outputs. Unlike
+	// CollectEvents nothing is buffered, so a sink is safe on arbitrarily
+	// long runs. Observation only: the sink cannot influence the
+	// simulation, so it is erased from Fingerprint.
 	EventSink func(obs.Event)
 }
 
@@ -140,10 +134,8 @@ type Options struct {
 // address — stable within a process, which is all an in-process memo needs
 // (two distinct placer values conservatively get distinct keys).
 func (o Options) Fingerprint() string {
-	// The flight recorder and the event sink observe without changing
-	// results, and their pointers would otherwise make every attempt's key
-	// unique, so they are erased.
-	o.Recorder = nil
+	// The event sink observes without changing results, and its pointer
+	// would otherwise make every attempt's key unique, so it is erased.
 	o.EventSink = nil
 	return fmt.Sprintf("%+v", o)
 }
@@ -233,11 +225,11 @@ type Result struct {
 	AvgRemoteLatency sim.Time
 	// Trace holds the recorded misses when Options.CollectTrace was set.
 	Trace *trace.Trace
-	// ObsEvents holds the typed event trace when Options.CollectEvents was
-	// set (export with WriteJSONL / WriteChromeTrace).
-	ObsEvents *obs.Tracer
+	// ObsEvents holds the typed event log when Options.CollectEvents was
+	// set, nil otherwise (export with WriteJSONL / WriteChromeTrace).
+	ObsEvents *obs.Log
 	// Series holds the sampled time-series when Options.SampleInterval was
-	// positive (export with WriteCSV / WriteJSONL).
+	// positive (export with WriteCSV).
 	Series *obs.Sampler
 	// Events is the number of simulator events dispatched.
 	Events uint64

@@ -310,13 +310,6 @@ func (s *System) Run() (*Result, error) {
 		elapsed = s.deadline // hit the cap without completing
 	}
 
-	// A recorder-only tracer buffers nothing; exposing it as ObsEvents would
-	// look like an empty event collection rather than "not collected".
-	obsEvents := s.events
-	if !s.opt.CollectEvents {
-		obsEvents = nil
-	}
-
 	res := &Result{
 		Workload:          s.spec.Name,
 		Policy:            s.policyName(),
@@ -332,7 +325,7 @@ func (s *System) Run() (*Result, error) {
 		LocalMissFraction: s.mems.LocalFraction(),
 		AvgRemoteLatency:  s.mems.AvgRemoteLatency(),
 		Trace:             s.tracer,
-		ObsEvents:         obsEvents,
+		ObsEvents:         s.events,
 		Series:            s.sampler,
 		Events:            s.eng.Fired(),
 		Faults:            s.inj.Stats(),

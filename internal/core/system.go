@@ -104,10 +104,10 @@ type System struct {
 	// directory's pending queue through cpuState.pagerWork to HandleBatch.
 	batchPool [][]directory.HotRef
 
-	// Observability (nil when disabled): the typed event tracer wired
-	// through vm/pager/directory, and the periodic time-series sampler with
-	// its previous-snapshot state for computing per-interval deltas.
-	events  *obs.Tracer
+	// Observability (nil when disabled): the event log behind
+	// CollectEvents, and the periodic time-series sampler with its
+	// previous-snapshot state for computing per-interval deltas.
+	events  *obs.Log
 	sampler *obs.Sampler
 	prevCPU []obs.CPUSample
 	prevCtr obs.CounterSample

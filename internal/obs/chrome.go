@@ -38,19 +38,62 @@ func chromeTID(e Event) int {
 	return kernelTID
 }
 
-// chromeTS renders virtual time as microseconds with three decimals, the
+// ChromeTS renders nanoseconds as microseconds with three decimals, the
 // trace format's unit, without float formatting (byte-deterministic).
-func chromeTS(t int64) string {
-	return fmt.Sprintf("%d.%03d", t/1000, t%1000)
+func ChromeTS(ns int64) string {
+	return fmt.Sprintf("%d.%03d", ns/1000, ns%1000)
+}
+
+// ChromeWriter frames one Chrome trace-event JSON document: the header, one
+// record per line separated by commas, and the footer. It is the single
+// writer of the format — the simulation's event traces (Log.WriteChromeTrace)
+// and the harness's wall-clock span timeline both render through it.
+type ChromeWriter struct {
+	bw    *bufio.Writer
+	first bool
+}
+
+// NewChromeWriter starts a trace document on w.
+func NewChromeWriter(w io.Writer) *ChromeWriter {
+	bw := bufio.NewWriter(w)
+	bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`)
+	return &ChromeWriter{bw: bw, first: true}
+}
+
+// Record writes one trace-event object, formatted by format and args.
+func (c *ChromeWriter) Record(format string, args ...any) {
+	if c.first {
+		c.bw.WriteString("\n")
+		c.first = false
+	} else {
+		c.bw.WriteString(",\n")
+	}
+	fmt.Fprintf(c.bw, format, args...)
+}
+
+// ProcessName names a process track.
+func (c *ChromeWriter) ProcessName(pid int, name string) {
+	c.Record(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%q}}`, pid, name)
+}
+
+// ThreadName names a thread track within a process.
+func (c *ChromeWriter) ThreadName(pid, tid int, name string) {
+	c.Record(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%q}}`, pid, tid, name)
+}
+
+// Close writes the footer and flushes.
+func (c *ChromeWriter) Close() error {
+	c.bw.WriteString("\n]}\n")
+	return c.bw.Flush()
 }
 
 type track struct{ pid, tid int }
 
 // WriteChromeTrace writes the buffered events as Chrome trace-event JSON.
 // Output is byte-deterministic for a deterministic event sequence.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	t.Sort()
-	evs := t.Events()
+func (l *Log) WriteChromeTrace(w io.Writer) error {
+	l.Sort()
+	evs := l.Events()
 
 	pids := map[int]bool{}
 	tracks := map[track]bool{}
@@ -75,42 +118,26 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		return trackList[i].tid < trackList[j].tid
 	})
 
-	bw := bufio.NewWriter(w)
-	fmt.Fprint(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			bw.WriteString(",\n")
-		} else {
-			bw.WriteString("\n")
-			first = false
-		}
-		fmt.Fprintf(bw, format, args...)
-	}
-
+	cw := NewChromeWriter(w)
 	for _, p := range pidList {
 		name := fmt.Sprintf("node%d", p)
 		if p == machinePID {
 			name = "machine"
 		}
-		emit(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%q}}`, p, name)
+		cw.ProcessName(p, name)
 	}
 	for _, tr := range trackList {
 		name := fmt.Sprintf("cpu%d", tr.tid)
 		if tr.tid == kernelTID {
 			name = "kernel"
 		}
-		emit(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%q}}`,
-			tr.pid, tr.tid, name)
+		cw.ThreadName(tr.pid, tr.tid, name)
 	}
-
 	for _, e := range evs {
-		emit(`{"name":%q,"ph":"i","s":"t","ts":%s,"pid":%d,"tid":%d,"args":{%s}}`,
-			e.Kind.String(), chromeTS(int64(e.At)), chromePID(e), chromeTID(e), chromeArgs(e))
+		cw.Record(`{"name":%q,"ph":"i","s":"t","ts":%s,"pid":%d,"tid":%d,"args":{%s}}`,
+			e.Kind.String(), ChromeTS(int64(e.At)), chromePID(e), chromeTID(e), chromeArgs(e))
 	}
-
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
+	return cw.Close()
 }
 
 // chromeArgs renders the event payload as the args object body, including

@@ -8,12 +8,14 @@
 // Perfetto loads directly. The sampler answers *how the machine trends* —
 // per-CPU busy/idle/pager deltas, per-node frame occupancy and replica
 // counts, and directory-counter activity at a fixed virtual-time interval,
-// exportable as CSV or JSONL.
+// exportable as CSV.
 //
 // Both are driven by the deterministic event engine, so for a fixed seed the
 // exported bytes are identical run to run. A nil *Tracer is the disabled
 // state: call sites guard emissions with On(), which costs one branch
-// (proven by BenchmarkTracerDisabled).
+// (proven by BenchmarkTracerDisabled). An enabled tracer has exactly one
+// output, a func(Event): a Log buffers for export, a Recorder keeps the
+// failure flight ring, a StreamWriter streams NDJSON, and Tee combines them.
 package obs
 
 import (
@@ -145,146 +147,114 @@ func NewEvent(k Kind) Event {
 	return Event{Kind: k, CPU: -1, Node: -1, Page: -1, From: -1, To: -1}
 }
 
-// Tracer buffers typed events in memory. The nil *Tracer is the disabled
-// tracer: On() reports false and Emit is a no-op, so instrumented code pays
-// one branch and nothing else.
+// Tracer hands typed events to one output as they are emitted. The nil
+// *Tracer is the disabled tracer: On() reports false and Emit is a no-op, so
+// instrumented code pays one branch and nothing else. Outputs are plain
+// func(Event) values — Log.Add buffers, Recorder.Record keeps the flight
+// ring, StreamWriter.Sink streams NDJSON — and Tee fans one event out to
+// several. Outputs are called synchronously from the emitting goroutine.
 type Tracer struct {
-	// Clock supplies the current virtual time for emitters that do not track
-	// it themselves (EmitNow). Optional.
-	Clock func() sim.Time
-
-	events []Event
-
-	// rec, when set, receives a copy of every emitted event (the failure
-	// flight recorder). noBuffer additionally drops the in-memory buffer, so
-	// a recorder-only tracer holds bounded memory no matter how long the run.
-	rec      *Recorder
-	noBuffer bool
-
-	// sink, when set, receives every emitted event as it happens — the
-	// streaming path (core.Options.EventSink → serve's NDJSON progress
-	// stream). Called synchronously from the emitting goroutine.
-	sink func(Event)
+	clock func() sim.Time
+	out   func(Event)
 }
 
-// NewTracer builds an enabled tracer. clock may be nil when every emitter
-// stamps its own events.
-func NewTracer(clock func() sim.Time) *Tracer {
-	return &Tracer{Clock: clock}
-}
-
-// NewFlightTracer builds a tracer that forwards every event to the flight
-// recorder without buffering: the run pays the ring write per event and
-// holds no unbounded event memory. r must be non-nil.
-func NewFlightTracer(clock func() sim.Time, r *Recorder) *Tracer {
-	if r == nil {
-		panic("obs: flight tracer needs a recorder")
+// NewTracer builds an enabled tracer feeding out. clock stamps EmitNow
+// events and may be nil when every emitter stamps its own; out must be
+// non-nil.
+func NewTracer(clock func() sim.Time, out func(Event)) *Tracer {
+	if out == nil {
+		panic("obs: tracer needs an output")
 	}
-	return &Tracer{Clock: clock, rec: r, noBuffer: true}
-}
-
-// AttachRecorder mirrors every subsequent emission into r (in addition to
-// the buffer). No-op on a nil tracer or nil recorder.
-func (t *Tracer) AttachRecorder(r *Recorder) {
-	if t == nil || r == nil {
-		return
-	}
-	t.rec = r
-}
-
-// NewStreamTracer builds a tracer that forwards every event to sink without
-// buffering: the streaming consumer sees events live and the run holds no
-// unbounded event memory. sink must be non-nil.
-func NewStreamTracer(clock func() sim.Time, sink func(Event)) *Tracer {
-	if sink == nil {
-		panic("obs: stream tracer needs a sink")
-	}
-	return &Tracer{Clock: clock, sink: sink, noBuffer: true}
-}
-
-// AttachSink forwards every subsequent emission to fn (in addition to the
-// buffer and recorder, when present). No-op on a nil tracer or nil fn.
-func (t *Tracer) AttachSink(fn func(Event)) {
-	if t == nil || fn == nil {
-		return
-	}
-	t.sink = fn
+	return &Tracer{clock: clock, out: out}
 }
 
 // On reports whether the tracer is collecting. Safe on nil.
 func (t *Tracer) On() bool { return t != nil }
 
-// Emit records an event. No-op on nil.
+// Emit hands an event to the output. No-op on nil.
 func (t *Tracer) Emit(e Event) {
 	if t == nil {
 		return
 	}
-	if t.rec != nil {
-		t.rec.Record(e)
-	}
-	if t.sink != nil {
-		t.sink(e)
-	}
-	if !t.noBuffer {
-		t.events = append(t.events, e)
-	}
+	t.out(e)
 }
 
-// EmitNow records an event stamped with the tracer's clock. No-op on nil.
+// EmitNow emits an event stamped with the tracer's clock. No-op on nil.
 func (t *Tracer) EmitNow(e Event) {
 	if t == nil {
 		return
 	}
-	if t.Clock != nil {
-		e.At = t.Clock()
+	if t.clock != nil {
+		e.At = t.clock()
 	}
-	if t.rec != nil {
-		t.rec.Record(e)
+	t.out(e)
+}
+
+// Tee returns an output handing each event to every non-nil out, in
+// argument order. It returns nil when every out is nil and the single
+// output itself when only one is set, so a lone output costs no extra call.
+func Tee(outs ...func(Event)) func(Event) {
+	var live []func(Event)
+	for _, o := range outs {
+		if o != nil {
+			live = append(live, o)
+		}
 	}
-	if t.sink != nil {
-		t.sink(e)
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
+		return live[0]
 	}
-	if !t.noBuffer {
-		t.events = append(t.events, e)
+	return func(e Event) {
+		for _, o := range live {
+			o(e)
+		}
 	}
 }
+
+// Log is the buffering output: it keeps every event it is handed, for
+// post-run export. Its Add method is the output; the nil *Log holds nothing.
+type Log struct {
+	events []Event
+}
+
+// Add appends one event.
+func (l *Log) Add(e Event) { l.events = append(l.events, e) }
 
 // Len returns the number of buffered events. Safe on nil.
-func (t *Tracer) Len() int {
-	if t == nil {
+func (l *Log) Len() int {
+	if l == nil {
 		return 0
 	}
-	return len(t.events)
+	return len(l.events)
 }
-
-// Reset drops all buffered events.
-func (t *Tracer) Reset() { t.events = t.events[:0] }
 
 // Sort orders the events by time (stable: equal-time events keep emission
 // order). The pager advances a local clock past the engine's, so events are
-// appended only approximately in time order; exports call this first.
-func (t *Tracer) Sort() {
-	if t == nil {
+// added only approximately in time order; exports call this first.
+func (l *Log) Sort() {
+	if l == nil {
 		return
 	}
-	sort.SliceStable(t.events, func(i, j int) bool {
-		return t.events[i].At < t.events[j].At
+	sort.SliceStable(l.events, func(i, j int) bool {
+		return l.events[i].At < l.events[j].At
 	})
 }
 
 // Events returns the buffered events in their current order. The slice is
 // shared; do not mutate.
-func (t *Tracer) Events() []Event {
-	if t == nil {
+func (l *Log) Events() []Event {
+	if l == nil {
 		return nil
 	}
-	return t.events
+	return l.events
 }
 
 // CountKind returns how many buffered events have the given kind.
-func (t *Tracer) CountKind(k Kind) int {
+func (l *Log) CountKind(k Kind) int {
 	n := 0
-	for _, e := range t.Events() {
+	for _, e := range l.Events() {
 		if e.Kind == k {
 			n++
 		}
@@ -294,11 +264,11 @@ func (t *Tracer) CountKind(k Kind) int {
 
 // WriteJSONL writes one JSON object per event, in time order. The output is
 // byte-deterministic for a deterministic event sequence.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	t.Sort()
+func (l *Log) WriteJSONL(w io.Writer) error {
+	l.Sort()
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, e := range t.Events() {
+	for _, e := range l.Events() {
 		if err := enc.Encode(e); err != nil {
 			return err
 		}

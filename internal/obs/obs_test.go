@@ -34,14 +34,25 @@ func TestNilTracerIsSafeAndOff(t *testing.T) {
 	}
 	tr.Emit(NewEvent(KindPageMigrated)) // must not panic
 	tr.EmitNow(NewEvent(KindTLBShootdown))
-	tr.Sort()
-	if tr.Len() != 0 || tr.Events() != nil {
-		t.Error("nil tracer accumulated events")
+	var l *Log
+	l.Sort()
+	if l.Len() != 0 || l.Events() != nil || l.CountKind(KindPageMigrated) != 0 {
+		t.Error("nil log holds events")
 	}
+	if Tee(nil, nil) != nil {
+		t.Error("Tee of no outputs is not nil")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewTracer accepted a nil output")
+		}
+	}()
+	NewTracer(nil, nil)
 }
 
 func TestTracerEmitAndCount(t *testing.T) {
-	tr := NewTracer(nil)
+	l := &Log{}
+	tr := NewTracer(nil, l.Add)
 	if !tr.On() {
 		t.Fatal("enabled tracer reports Off")
 	}
@@ -51,51 +62,51 @@ func TestTracerEmitAndCount(t *testing.T) {
 	e2 := NewEvent(KindTLBShootdown)
 	e2.At = 50
 	tr.Emit(e2)
-	if tr.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tr.Len())
+	if l.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", l.Len())
 	}
-	if tr.CountKind(KindPageMigrated) != 1 || tr.CountKind(KindPolicyDecision) != 0 {
+	if l.CountKind(KindPageMigrated) != 1 || l.CountKind(KindPolicyDecision) != 0 {
 		t.Error("CountKind miscounts")
 	}
-	tr.Sort()
-	if tr.Events()[0].Kind != KindTLBShootdown {
+	l.Sort()
+	if l.Events()[0].Kind != KindTLBShootdown {
 		t.Error("Sort did not order by time")
-	}
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Error("Reset left events behind")
 	}
 }
 
 func TestTracerEmitNowUsesClock(t *testing.T) {
 	now := sim.Time(1234)
-	tr := NewTracer(func() sim.Time { return now })
+	l := &Log{}
+	tr := NewTracer(func() sim.Time { return now }, l.Add)
 	tr.EmitNow(NewEvent(KindCounterReset))
 	now = 5678
 	tr.EmitNow(NewEvent(KindCounterReset))
-	evs := tr.Events()
+	evs := l.Events()
 	if evs[0].At != 1234 || evs[1].At != 5678 {
 		t.Errorf("EmitNow stamped %v/%v, want 1234/5678", evs[0].At, evs[1].At)
 	}
 }
 
 func TestTracerSortIsStable(t *testing.T) {
-	tr := NewTracer(nil)
+	l := &Log{}
 	for i := 0; i < 5; i++ {
 		e := NewEvent(KindPolicyDecision)
 		e.At, e.Page = 10, int64(i)
-		tr.Emit(e)
+		l.Add(e)
 	}
-	tr.Sort()
-	for i, e := range tr.Events() {
+	l.Sort()
+	for i, e := range l.Events() {
 		if e.Page != int64(i) {
-			t.Fatalf("equal-time events reordered: %v", tr.Events())
+			t.Fatalf("equal-time events reordered: %v", l.Events())
 		}
 	}
 }
 
-func fixtureTracer() *Tracer {
-	tr := NewTracer(nil)
+// fixtureLog emits four events, one out of time order, through a tracer
+// into a log.
+func fixtureLog() *Log {
+	l := &Log{}
+	tr := NewTracer(nil, l.Add)
 	e := NewEvent(KindHotPageInterrupt)
 	e.At, e.CPU, e.Node, e.Trigger, e.Sharing, e.N = 2000, 3, 1, 96, 24, 2
 	tr.Emit(e)
@@ -110,15 +121,15 @@ func fixtureTracer() *Tracer {
 	e = NewEvent(KindCounterReset)
 	e.At, e.Trigger, e.N = 1000, 96, 1 // out of order on purpose
 	tr.Emit(e)
-	return tr
+	return l
 }
 
 func TestWriteJSONLDeterministicAndOrdered(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := fixtureTracer().WriteJSONL(&a); err != nil {
+	if err := fixtureLog().WriteJSONL(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := fixtureTracer().WriteJSONL(&b); err != nil {
+	if err := fixtureLog().WriteJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -142,7 +153,7 @@ func TestWriteJSONLDeterministicAndOrdered(t *testing.T) {
 
 func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := fixtureTracer().WriteChromeTrace(&buf); err != nil {
+	if err := fixtureLog().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -196,7 +207,7 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 	}
 
 	var again bytes.Buffer
-	if err := fixtureTracer().WriteChromeTrace(&again); err != nil {
+	if err := fixtureLog().WriteChromeTrace(&again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -215,8 +226,8 @@ func TestChromeTS(t *testing.T) {
 		{1234567, "1234.567"},
 	}
 	for _, c := range cases {
-		if got := chromeTS(c.ns); got != c.want {
-			t.Errorf("chromeTS(%d) = %q, want %q", c.ns, got, c.want)
+		if got := ChromeTS(c.ns); got != c.want {
+			t.Errorf("ChromeTS(%d) = %q, want %q", c.ns, got, c.want)
 		}
 	}
 }
@@ -258,18 +269,6 @@ func TestSamplerDeltasAndCSV(t *testing.T) {
 	wantRow := "1000000,10,3,6,4,2,1,200,200,30,7,0,0,0,0,5,2,1"
 	if lines[1] != wantRow {
 		t.Errorf("CSV row:\n got %s\nwant %s", lines[1], wantRow)
-	}
-
-	var jl bytes.Buffer
-	if err := s.WriteJSONL(&jl); err != nil {
-		t.Fatal(err)
-	}
-	var sm Sample
-	if err := json.Unmarshal(jl.Bytes(), &sm); err != nil {
-		t.Fatal(err)
-	}
-	if sm.At != sim.Millisecond || sm.CPU[0].Busy != 200 {
-		t.Errorf("JSONL round-trip = %+v", sm)
 	}
 }
 
@@ -319,18 +318,16 @@ func BenchmarkTracerDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkTracerEnabled measures the cost of an actual emission.
+// BenchmarkTracerEnabled measures the cost of an actual emission into a
+// bounded output (a wrapped flight-recorder ring).
 func BenchmarkTracerEnabled(b *testing.B) {
-	tr := NewTracer(nil)
+	tr := NewTracer(nil, NewRecorder(256).Record)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if tr.On() {
 			e := NewEvent(KindPageMigrated)
 			e.At = sim.Time(i)
 			tr.Emit(e)
-		}
-		if tr.Len() >= 1<<20 {
-			tr.Reset() // bound memory; Reset keeps capacity
 		}
 	}
 }

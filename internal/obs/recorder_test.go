@@ -108,22 +108,20 @@ func TestRecorderSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFlightTracerRecordsWithoutBuffering checks the recorder-only tracer:
-// events reach the ring (stamped by the clock on EmitNow) but the tracer's
-// replay buffer stays empty, keeping flight recording O(depth) in memory.
+// TestFlightTracerRecordsWithoutBuffering checks a tracer whose one output
+// is the flight recorder: events reach the ring (stamped by the clock on
+// EmitNow) and nothing else holds them — once the ring has wrapped, an
+// emission allocates nothing, keeping flight recording O(depth) in memory.
 func TestFlightTracerRecordsWithoutBuffering(t *testing.T) {
 	now := sim.Time(77)
 	r := NewRecorder(8)
-	tr := NewFlightTracer(func() sim.Time { return now }, r)
+	tr := NewTracer(func() sim.Time { return now }, r.Record)
 	if !tr.On() {
 		t.Fatal("flight tracer reports Off")
 	}
 	tr.EmitNow(NewEvent(KindCounterReset))
 	now = 99
 	tr.Emit(Event{Kind: KindPageMigrated, At: 88})
-	if tr.Len() != 0 {
-		t.Fatalf("flight tracer buffered %d events, want 0", tr.Len())
-	}
 	events, dropped := r.Dump()
 	if len(events) != 2 || dropped != 0 {
 		t.Fatalf("ring holds %d events (%d dropped), want 2 (0 dropped)", len(events), dropped)
@@ -134,29 +132,36 @@ func TestFlightTracerRecordsWithoutBuffering(t *testing.T) {
 	if events[1].At != 88 || events[1].Kind != KindPageMigrated {
 		t.Fatalf("Emit altered the event: %+v", events[1])
 	}
+	for i := 0; i < 16; i++ {
+		tr.EmitNow(NewEvent(KindTLBShootdown)) // wrap the ring before measuring
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tr.EmitNow(NewEvent(KindTLBShootdown)) }); allocs != 0 {
+		t.Fatalf("flight tracer allocates %.1f times per emission, want 0", allocs)
+	}
 }
 
-// TestRecorderAttachedToBufferingTracer checks AttachRecorder: a full
+// TestRecorderAttachedToBufferingTracer checks the tee: a full
 // event-collection run can feed the same ring, so failure dumps exist whether
 // or not the run also kept its complete trace.
 func TestRecorderAttachedToBufferingTracer(t *testing.T) {
 	r := NewRecorder(8)
-	tr := NewTracer(nil)
-	tr.AttachRecorder(r)
+	l := &Log{}
+	tr := NewTracer(nil, Tee(l.Add, r.Record))
 	tr.Emit(Event{Kind: KindTLBShootdown, At: 5})
-	if tr.Len() != 1 {
-		t.Fatalf("buffering tracer kept %d events, want 1", tr.Len())
+	tr.Emit(Event{Kind: KindCounterReset, At: 6})
+	if l.Len() != 2 {
+		t.Fatalf("log kept %d events, want 2", l.Len())
 	}
-	if events, _ := r.Dump(); len(events) != 1 || events[0].Kind != KindTLBShootdown {
-		t.Fatalf("attached recorder missed the event: %+v", events)
+	events, _ := r.Dump()
+	if len(events) != 2 || events[0] != l.Events()[0] || events[1] != l.Events()[1] {
+		t.Fatalf("teed recorder saw %+v, log %+v", events, l.Events())
 	}
 
-	var nilTr *Tracer
-	nilTr.AttachRecorder(r) // must not panic
-	tr.AttachRecorder(nil)  // detaching is a no-op
-	tr.Emit(Event{Kind: KindCounterReset})
-	if events, _ := r.Dump(); len(events) != 2 {
-		t.Fatalf("nil AttachRecorder detached the ring: %d events", len(events))
+	// A nil output drops out of the tee: the ring alone stays attached.
+	solo := NewTracer(nil, Tee(nil, r.Record))
+	solo.Emit(Event{Kind: KindPageMigrated})
+	if events, _ := r.Dump(); len(events) != 3 {
+		t.Fatalf("tee with a nil output lost the ring: %d events", len(events))
 	}
 }
 
@@ -166,7 +171,7 @@ func TestRecorderAttachedToBufferingTracer(t *testing.T) {
 func TestRecorderConcurrentRecordAndDump(t *testing.T) {
 	const writers, perWriter = 2, 500
 	r := NewRecorder(64)
-	tr := NewFlightTracer(nil, r)
+	tr := NewTracer(nil, r.Record)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)

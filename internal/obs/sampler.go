@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -73,13 +72,10 @@ type Sample struct {
 }
 
 // Sampler accumulates periodic Samples taken by the simulation at a fixed
-// virtual-time interval and exports them as CSV or JSONL.
+// virtual-time interval and exports them as CSV.
 type Sampler struct {
 	// Interval is the virtual-time sampling period.
 	Interval sim.Time
-	// Debug makes the sampling callback validate accounting invariants
-	// (stats.Breakdown.CheckInvariants) on every sample.
-	Debug bool
 
 	cpus, nodes int
 	samples     []Sample
@@ -145,18 +141,6 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 			fmt.Fprintf(bw, ",%d,%d,%d", n.Free, n.Base, n.Replica)
 		}
 		bw.WriteByte('\n')
-	}
-	return bw.Flush()
-}
-
-// WriteJSONL writes one JSON object per sample.
-func (s *Sampler) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, sm := range s.samples {
-		if err := enc.Encode(sm); err != nil {
-			return err
-		}
 	}
 	return bw.Flush()
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // StreamWriter renders events as NDJSON — one JSON object per line, the same
-// shape WriteJSONL produces — as they arrive, instead of buffering a run's
-// worth. It is the wire format of numasimd's progress streams: attach
-// Sink() as a tracer sink (core.Options.EventSink) and each emitted event
+// shape Log.WriteJSONL produces — as they arrive, instead of buffering a run's
+// worth. It is the wire format of numasimd's progress streams: pass Sink()
+// as a tracer output (core.Options.EventSink) and each emitted event
 // becomes one line on the connection while the simulation is still running.
 //
 // The writer is safe for concurrent use. The simulation emits from a single
@@ -31,7 +31,7 @@ func NewStreamWriter(w io.Writer) *StreamWriter {
 	return &StreamWriter{w: w, enc: json.NewEncoder(w)}
 }
 
-// Sink returns a function suitable for core.Options.EventSink / AttachSink.
+// Sink returns the writer as a tracer output (core.Options.EventSink).
 func (s *StreamWriter) Sink() func(Event) {
 	return func(e Event) { s.WriteValue(e) }
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ccnuma/internal/core"
+	"ccnuma/internal/obs"
 	"ccnuma/internal/sim"
 	"ccnuma/internal/workload"
 )
@@ -158,5 +159,53 @@ func TestExecuteFailureManifest(t *testing.T) {
 	_, fail2, err2 := h.Execute(ctx, "what-if-18", build, core.Options{Seed: 9})
 	if !errors.Is(err2, context.Canceled) || fail2 == nil {
 		t.Fatalf("pre-cancelled Execute: err=%v fail=%+v", err2, fail2)
+	}
+}
+
+// TestExecuteSinkAndRecorderTeed is numasimd's streaming-plus-recorder case:
+// the caller's EventSink and the harness's flight recorder share the run's
+// one event output. A run that emits and then panics must have streamed every
+// event to the caller, and its failure dump must be the ring's last
+// RecorderDepth events with the rest counted as dropped.
+func TestExecuteSinkAndRecorderTeed(t *testing.T) {
+	const depth, emitted = 4, 7
+	h := NewHarness(0.05, 1)
+	h.RecorderDepth = depth
+	h.PreRun = func(_ string, opt core.Options) {
+		for i := int64(0); i < emitted; i++ {
+			e := obs.NewEvent(obs.KindPageReplicated)
+			e.At, e.Page = sim.Time(i*10), i
+			opt.EventSink(e)
+		}
+		panic("injected failure after streaming")
+	}
+	var streamed []obs.Event
+	build := func() *workload.Spec {
+		b, _ := workload.ByName("engineering")
+		return b(0.05, 1)
+	}
+	_, fail, err := h.Execute(context.Background(), "stream-and-record", build, core.Options{
+		Seed: 9, Duration: 5 * sim.Millisecond,
+		EventSink: func(e obs.Event) { streamed = append(streamed, e) },
+	})
+	if err == nil || fail == nil {
+		t.Fatalf("Execute did not fail: fail=%v err=%v", fail, err)
+	}
+	if len(streamed) != emitted {
+		t.Fatalf("caller's sink saw %d events, want %d", len(streamed), emitted)
+	}
+	for i, e := range streamed {
+		if e.Page != int64(i) {
+			t.Fatalf("streamed[%d].Page = %d, want %d", i, e.Page, i)
+		}
+	}
+	if len(fail.Events) != depth || fail.EventsDropped != emitted-depth {
+		t.Fatalf("failure dump = %d events, %d dropped; want %d, %d",
+			len(fail.Events), fail.EventsDropped, depth, emitted-depth)
+	}
+	for i, e := range fail.Events {
+		if e != streamed[emitted-depth+i] {
+			t.Fatalf("dump[%d] = %+v, want the stream's %+v", i, e, streamed[emitted-depth+i])
+		}
 	}
 }

@@ -266,10 +266,9 @@ func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *
 			Start: enter, End: h.sinceStart()})
 	}
 	t0 := wallNow()
-	res, rec, attempts, timedOut, err := h.attempt(ctx, wl, id, slot,
+	res, fail, err := h.attempt(ctx, wl, id, slot,
 		func() *workload.Spec { return h.spec(wl) }, opt)
 	if err != nil {
-		dump, dropped := rec.Dump()
 		h.mu.Lock()
 		// Evict the memo slot: the placeholder below answers callers already
 		// blocked on this entry, but a later call for the same key must get a
@@ -277,21 +276,11 @@ func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *
 		// place once poisoned the memo — every -keep-going re-query of a run
 		// that had failed transiently returned the placeholder forever.)
 		delete(h.runs, key)
-		h.failures = append(h.failures, RunFailure{
-			Workload:      wl,
-			ID:            id,
-			Fingerprint:   opt.Fingerprint(),
-			Error:         err.Error(),
-			Attempts:      attempts,
-			TimedOut:      timedOut,
-			Events:        dump,
-			EventsDropped: dropped,
-		})
+		h.failures = append(h.failures, *fail)
 		h.mu.Unlock()
-		h.logf("fail  %s id=%016x attempts=%d err=%v", wl, keyID(key), attempts, err)
 		if !h.KeepGoing {
-			panic(fmt.Sprintf("report: run %s id=%016x failed after %d attempt(s): %v (options: %s)",
-				wl, keyID(key), attempts, err, opt.Fingerprint()))
+			panic(fmt.Sprintf("report: run %s id=%s failed after %d attempt(s): %v (options: %s)",
+				wl, id, fail.Attempts, err, fail.Fingerprint))
 		}
 		res = &core.Result{Workload: wl, Policy: "failed", Failed: true}
 		e.res = res
@@ -317,21 +306,21 @@ func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *
 }
 
 // attempt drives one run through up to 1+Retries attempts with doubling
-// wall-clock backoff, returning the last attempt's outcome (including its
-// flight recorder, for the failure dump). id and slot label the spans. A
-// cancelled caller context short-circuits the retry chain: retrying work
-// nobody is waiting for would only burn CPU.
-func (h *Harness) attempt(ctx context.Context, wl, id string, slot int, build func() *workload.Spec, opt core.Options) (res *core.Result, rec *obs.Recorder, attempts int, timedOut bool, err error) {
+// wall-clock backoff. When every attempt fails it returns the failure record
+// built from the last one (including its flight recorder's dump). id and
+// slot label the spans. A cancelled caller context short-circuits the retry
+// chain: retrying work nobody is waiting for would only burn CPU.
+func (h *Harness) attempt(ctx context.Context, wl, id string, slot int, build func() *workload.Spec, opt core.Options) (*core.Result, *RunFailure, error) {
 	backoff := h.RetryBackoff
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
 	}
-	for attempts = 1; ; attempts++ {
+	for attempts := 1; ; attempts++ {
 		var a0 time.Duration
 		if h.CollectSpans {
 			a0 = h.sinceStart()
 		}
-		res, rec, timedOut, err = h.runOnce(ctx, wl, build, opt)
+		res, rec, timedOut, err := h.runOnce(ctx, wl, build, opt)
 		if h.CollectSpans {
 			state := SpanRunning
 			switch {
@@ -343,8 +332,11 @@ func (h *Harness) attempt(ctx context.Context, wl, id string, slot int, build fu
 			h.addSpan(Span{Workload: wl, ID: id, State: state, Attempt: attempts,
 				Slot: slot, Start: a0, End: h.sinceStart()})
 		}
-		if err == nil || attempts > h.Retries || ctx.Err() != nil {
-			return res, rec, attempts, timedOut, err
+		if err == nil {
+			return res, nil, nil
+		}
+		if attempts > h.Retries || ctx.Err() != nil {
+			return nil, h.failure(wl, id, opt, rec, attempts, timedOut, err), err
 		}
 		h.logf("retry %s attempt=%d backoff=%v err=%v", wl, attempts, backoff, err)
 		var r0 time.Duration
@@ -357,13 +349,31 @@ func (h *Harness) attempt(ctx context.Context, wl, id string, slot int, build fu
 		case <-timer.C:
 		case <-ctx.Done():
 			timer.Stop()
-			return res, rec, attempts, timedOut, err
+			return nil, h.failure(wl, id, opt, rec, attempts, timedOut, err), err
 		}
 		if h.CollectSpans {
 			h.addSpan(Span{Workload: wl, ID: id, State: SpanRetry, Attempt: attempts,
 				Slot: slot, Start: r0, End: h.sinceStart()})
 		}
 		backoff *= 2
+	}
+}
+
+// failure builds the record of a run that failed all its attempts — the
+// fingerprint to replay it, the attempt count, the timeout flag and the
+// flight recorder's dump — and logs its fail line.
+func (h *Harness) failure(wl, id string, opt core.Options, rec *obs.Recorder, attempts int, timedOut bool, err error) *RunFailure {
+	h.logf("fail  %s id=%s attempts=%d err=%v", wl, id, attempts, err)
+	dump, dropped := rec.Dump()
+	return &RunFailure{
+		Workload:      wl,
+		ID:            id,
+		Fingerprint:   opt.Fingerprint(),
+		Error:         err.Error(),
+		Attempts:      attempts,
+		TimedOut:      timedOut,
+		Events:        dump,
+		EventsDropped: dropped,
 	}
 }
 
@@ -376,8 +386,8 @@ type runOutcome struct {
 // runOnce executes one simulation attempt in a child goroutine so a panic in
 // the workload or kernel layers becomes an error on this worker instead of
 // tearing the process (and every other concurrent run) down. Each attempt
-// gets its own flight recorder (when RecorderDepth is set) so a retry's dump
-// never mixes attempts.
+// gets its own flight recorder (when RecorderDepth is set), teed with the
+// caller's EventSink, so a retry's dump never mixes attempts.
 //
 // The attempt runs under ctx plus the harness's RunTimeout. Cancellation is
 // cooperative: core.RunContext installs an engine-loop check polled every
@@ -389,7 +399,7 @@ type runOutcome struct {
 func (h *Harness) runOnce(ctx context.Context, wl string, build func() *workload.Spec, opt core.Options) (res *core.Result, rec *obs.Recorder, timedOut bool, err error) {
 	if h.RecorderDepth > 0 {
 		rec = obs.NewRecorder(h.RecorderDepth)
-		opt.Recorder = rec
+		opt.EventSink = obs.Tee(rec.Record, opt.EventSink)
 	}
 	if h.RunTimeout > 0 {
 		var cancel context.CancelFunc
@@ -430,20 +440,9 @@ func (h *Harness) Execute(ctx context.Context, label string, build func() *workl
 	h.executed.Add(1)
 	h.logf("start %s id=%s", label, id)
 	t0 := wallNow()
-	res, rec, attempts, timedOut, err := h.attempt(ctx, label, id, -1, build, opt)
+	res, fail, err := h.attempt(ctx, label, id, -1, build, opt)
 	if err != nil {
-		dump, dropped := rec.Dump()
-		h.logf("fail  %s id=%s attempts=%d err=%v", label, id, attempts, err)
-		return nil, &RunFailure{
-			Workload:      label,
-			ID:            id,
-			Fingerprint:   opt.Fingerprint(),
-			Error:         err.Error(),
-			Attempts:      attempts,
-			TimedOut:      timedOut,
-			Events:        dump,
-			EventsDropped: dropped,
-		}, err
+		return nil, fail, err
 	}
 	h.logf("done  %s id=%s policy=%s simulated=%v wall=%v",
 		label, id, res.Policy, res.Elapsed, wallSince(t0).Round(time.Millisecond))

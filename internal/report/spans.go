@@ -1,11 +1,12 @@
 package report
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
 	"time"
+
+	"ccnuma/internal/obs"
 )
 
 // The harness span timeline: when Harness.CollectSpans is set, every Run call
@@ -113,13 +114,6 @@ func (h *Harness) WriteSpans(w io.Writer) error {
 // memoSlotTID is the synthetic thread the memo-hit spans render on.
 const memoSlotTID = 1 << 16
 
-// spanTS renders a wall duration as microseconds with three decimals (the
-// trace format's unit) without float formatting.
-func spanTS(d time.Duration) string {
-	ns := d.Nanoseconds()
-	return fmt.Sprintf("%d.%03d", ns/1000, ns%1000)
-}
-
 // WriteSpansChromeTrace writes spans as Chrome trace-event JSON: one
 // "harness" process, one thread per worker slot plus a "memo" thread, one
 // complete event ("ph":"X") per span. Loadable by Perfetto — the same wire
@@ -135,20 +129,8 @@ func WriteSpansChromeTrace(w io.Writer, spans []Span) error {
 	}
 	sort.Ints(slotList)
 
-	bw := bufio.NewWriter(w)
-	fmt.Fprint(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			bw.WriteString(",\n")
-		} else {
-			bw.WriteString("\n")
-			first = false
-		}
-		fmt.Fprintf(bw, format, args...)
-	}
-
-	emit(`{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"harness"}}`)
+	cw := obs.NewChromeWriter(w)
+	cw.ProcessName(0, "harness")
 	for _, s := range slotList {
 		name := fmt.Sprintf("slot%d", s)
 		tid := s
@@ -156,7 +138,7 @@ func WriteSpansChromeTrace(w io.Writer, spans []Span) error {
 			name = "memo"
 			tid = memoSlotTID
 		}
-		emit(`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":%q}}`, tid, name)
+		cw.ThreadName(0, tid, name)
 	}
 	for _, s := range spans {
 		tid := s.Slot
@@ -167,9 +149,9 @@ func WriteSpansChromeTrace(w io.Writer, spans []Span) error {
 		if s.Attempt > 0 {
 			args += fmt.Sprintf(`,"attempt":%d`, s.Attempt)
 		}
-		emit(`{"name":%q,"ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d,"args":{%s}}`,
-			s.Workload+" "+s.State, spanTS(s.Start), spanTS(s.End-s.Start), tid, args)
+		cw.Record(`{"name":%q,"ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d,"args":{%s}}`,
+			s.Workload+" "+s.State, obs.ChromeTS(s.Start.Nanoseconds()),
+			obs.ChromeTS((s.End - s.Start).Nanoseconds()), tid, args)
 	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
+	return cw.Close()
 }

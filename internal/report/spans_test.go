@@ -151,7 +151,7 @@ func TestFailureManifestFlightRecorder(t *testing.T) {
 		for i := int64(0); i < 6; i++ {
 			e := obs.NewEvent(obs.KindPageMigrated)
 			e.At, e.Page = sim.Time(i*100), i
-			opt.Recorder.Record(e)
+			opt.EventSink(e)
 		}
 		panic("injected failure")
 	}
