@@ -1,11 +1,11 @@
 GO ?= go
 
-# Tier-1 verification plus formatting, the race detector, and benchmark
-# smoke runs. `make ci` is what a CI job should run.
-.PHONY: ci fmt-check vet lint build test race fault-smoke bench-smoke \
+# Tier-1 verification plus formatting, the one-CPU goldens, the race detector,
+# and benchmark smoke runs. `make ci` is what a CI job should run.
+.PHONY: ci fmt-check vet build test golden-1cpu race fault-smoke bench-smoke \
 	obs-bench-smoke serve-smoke bench
 
-ci: fmt-check vet lint build race fault-smoke bench-smoke obs-bench-smoke serve-smoke
+ci: fmt-check vet build golden-1cpu race fault-smoke bench-smoke obs-bench-smoke serve-smoke
 
 # $(call named,PKG,PATTERN) fails unless every |-separated alternative of
 # PATTERN matches a test or benchmark in PKG (listed with go test -list).
@@ -27,21 +27,27 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# numalint: the domain-specific checks go vet cannot know about —
-# determinism, hot-path allocation-freedom, tracer guarding, and fault
-# purity. Exits non-zero on any finding; see internal/lint and README. The
-# elapsed time is printed so a `make ci` log records what the analysis costs.
-lint:
-	@t0=$$(date +%s); \
-	$(GO) run ./cmd/numalint ./...; \
-	rc=$$?; t1=$$(date +%s); \
-	echo "lint: $$((t1-t0))s"; exit $$rc
-
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The byte goldens again with the process pinned to one CPU, at -cpu 1 and 2.
+# A branch on runtime.GOMAXPROCS or runtime.NumCPU passes on a multi-core
+# host and changes bytes only where the host has one CPU, so the goldens must
+# hash the same whatever CPU count the process sees. -count=1 defeats the
+# test cache, which does not key on the CPU affinity.
+GOLDEN_CORE = TestRunExportsGolden|TestObservabilityGolden|TestShardNeutrality
+GOLDEN_REPORT = TestReportDeterministicAcrossWorkers|TestEventExportsDeterministicAcrossWorkers
+
+golden-1cpu:
+	@command -v taskset >/dev/null || \
+		{ echo "golden-1cpu: taskset (util-linux) is required to pin the goldens to one CPU"; exit 1; }
+	$(call named,./internal/core,$(GOLDEN_CORE))
+	$(call named,./internal/report,$(GOLDEN_REPORT))
+	taskset -c 0 $(GO) test -count=1 -cpu 1,2 -run '$(GOLDEN_CORE)|$(GOLDEN_REPORT)' \
+		./internal/core ./internal/report
 
 # The experiment harness is concurrent (report.Harness singleflight memo,
 # per-experiment worker pools); keep the race detector in the loop. The

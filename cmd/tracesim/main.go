@@ -47,6 +47,9 @@ func main() {
 		}
 		tr, err = trace.Read(f)
 		f.Close()
+		if err == nil {
+			err = tr.Validate()
+		}
 		if err != nil {
 			fatal(err)
 		}

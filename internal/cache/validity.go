@@ -51,22 +51,16 @@ func NewValidity(pages, nodes int) *Validity {
 func (v *Validity) Assign(p mem.GPage, node mem.NodeID) {}
 
 // LineVersion returns the current version of a line.
-//
-//numalint:hotpath
 func (v *Validity) LineVersion(l mem.GLine) uint32 { return v.lineVersion[l] }
 
 // BumpLine registers a write to the line and returns the new version. Every
 // cached copy with an older version becomes stale.
-//
-//numalint:hotpath
 func (v *Validity) BumpLine(l mem.GLine) uint32 {
 	v.lineVersion[l]++
 	return v.lineVersion[l]
 }
 
 // PageEpoch returns the current placement epoch of a page.
-//
-//numalint:hotpath
 func (v *Validity) PageEpoch(p mem.GPage) uint32 { return v.pageEpoch[p] }
 
 // BumpPage registers a migration, collapse, or release of the page,

@@ -26,16 +26,12 @@ const cyclesPerStep = 4
 // schedule arms cpu c's next step event. Each CPU's entire chain reuses one
 // registered typed event (stepKind with the CPU index as arg), so the
 // simulator's hottest call allocates nothing.
-//
-//numalint:hotpath
 func (s *System) schedule(c *cpuState, at sim.Time) {
 	s.eng.AtKind(at, s.stepKind, uint64(c.id))
 }
 
 // step is one CPU's event: pending shootdown charges, queued pager work,
 // scheduling, and then up to sliceMax of reference execution.
-//
-//numalint:hotpath
 func (s *System) step(c *cpuState, now sim.Time) {
 	if s.finished() {
 		return // the workload completed; stop this CPU's event chain
@@ -122,8 +118,6 @@ func (s *System) step(c *cpuState, now sim.Time) {
 // access runs one memory reference through TLB, caches, and (on a full
 // miss) the NUMA memory system, charging all latencies and feeding the
 // policy counters and the trace.
-//
-//numalint:hotpath
 func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time) (sim.Time, bool) {
 	mode := stats.User
 	if st.Kernel {

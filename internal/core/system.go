@@ -272,8 +272,6 @@ func traceCapacity(d sim.Time, cfg topology.Config) int {
 
 // wakeProc is the typed wake-after-block event: make the process runnable
 // again if the same process still occupies the slot and is still alive.
-//
-//numalint:hotpath
 func (s *System) wakeProc(id mem.ProcID, gen uint32) {
 	if int(id) >= len(s.procs) {
 		return
@@ -287,8 +285,6 @@ func (s *System) wakeProc(id mem.ProcID, gen uint32) {
 // hot page of the batch. The directory's batch slice is only borrowed for
 // the duration of the call, so it is copied into a pooled slice that step
 // returns to the pool once HandleBatch has serviced it.
-//
-//numalint:hotpath
 func (s *System) onHotBatch(batch []directory.HotRef) {
 	if s.pg == nil {
 		return
@@ -309,7 +305,8 @@ func (s *System) onHotBatch(batch []directory.HotRef) {
 			return
 		}
 		if delay > 0 {
-			//numalint:allow hotpath fault-injected delay path, cold by construction
+			// The fault-injected delay path is cold by construction, so its
+			// closure event may allocate.
 			s.eng.At(s.eng.Now()+delay, func(sim.Time) { s.queueBatch(cp) })
 			return
 		}
@@ -318,8 +315,6 @@ func (s *System) onHotBatch(batch []directory.HotRef) {
 }
 
 // queueBatch hands a pager batch to the triggering CPU's work queue.
-//
-//numalint:hotpath
 func (s *System) queueBatch(cp []directory.HotRef) {
 	if len(cp) == 0 {
 		return

@@ -113,8 +113,6 @@ func (c *Counters) Groups() int { return c.groups }
 // page that is already local to the missing CPU needs no interrupt — but
 // all misses are counted, because the sharing decision needs every CPU's
 // rate.
-//
-//numalint:hotpath
 func (c *Counters) Record(page mem.GPage, cpu mem.CPUID, isWrite, remote bool) {
 	c.recorded++
 	if c.sampleRate > 1 {
@@ -146,8 +144,6 @@ func (c *Counters) Record(page mem.GPage, cpu mem.CPUID, isWrite, remote bool) {
 // periodic reset calls it so a partial batch is not held indefinitely. The
 // pending buffer itself is handed to the callback (see BatchFunc's borrowing
 // contract) and reused for the next batch, so flushing allocates nothing.
-//
-//numalint:hotpath
 func (c *Counters) FlushPending() {
 	if len(c.pending) == 0 || c.onBatch == nil {
 		return

@@ -14,6 +14,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 
 	"ccnuma/internal/mem"
 	"ccnuma/internal/obs"
@@ -53,7 +54,7 @@ type Config struct {
 	AllocFailUntil sim.Time `json:"alloc_fail_until,omitempty"`
 
 	// SlowFactor > 1 multiplies the latency of remote misses to or from
-	// SlowNode (a degraded interconnect link).
+	// SlowNode (a degraded interconnect link); at most MaxSlowFactor.
 	SlowNode   int     `json:"slow_node,omitempty"`
 	SlowFactor float64 `json:"slow_factor,omitempty"`
 
@@ -66,6 +67,12 @@ type Config struct {
 	// shed cheaply (the paper's kernel-overhead concern).
 	OverheadBudget float64 `json:"overhead_budget,omitempty"`
 }
+
+// MaxSlowFactor caps Config.SlowFactor. A link a thousand times slower is
+// already a dead link to the policies, and the cap keeps the extra latency
+// lat×(factor−1) of ExtraRemoteLatency far inside sim.Time: only a base
+// latency above 100 days could overflow it.
+const MaxSlowFactor = 1000
 
 // Enabled reports whether any fault or degradation response is configured.
 // core builds an Injector only when this is true.
@@ -80,8 +87,13 @@ func (c Config) Validate(nodes int) error {
 	for _, p := range []struct {
 		name string
 		v    float64
-	}{{"DropBatch", c.DropBatch}, {"DelayBatch", c.DelayBatch}, {"AllocFail", c.AllocFail}} {
-		if p.v < 0 || p.v > 1 {
+		prob bool
+	}{{"DropBatch", c.DropBatch, true}, {"DelayBatch", c.DelayBatch, true}, {"AllocFail", c.AllocFail, true},
+		{"SlowFactor", c.SlowFactor, false}, {"OverheadBudget", c.OverheadBudget, false}} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("fault: %s = %v is not a finite number", p.name, p.v)
+		}
+		if p.prob && (p.v < 0 || p.v > 1) {
 			return fmt.Errorf("fault: %s = %v outside [0, 1]", p.name, p.v)
 		}
 	}
@@ -93,6 +105,9 @@ func (c Config) Validate(nodes int) error {
 	}
 	if c.SlowFactor != 0 && c.SlowFactor < 1 {
 		return fmt.Errorf("fault: SlowFactor %v < 1 would speed the link up", c.SlowFactor)
+	}
+	if c.SlowFactor > MaxSlowFactor {
+		return fmt.Errorf("fault: SlowFactor %v above the cap of %d", c.SlowFactor, MaxSlowFactor)
 	}
 	if c.OverheadBudget != 0 && (c.OverheadBudget < 0 || c.OverheadBudget >= 1) {
 		return fmt.Errorf("fault: OverheadBudget %v outside (0, 1)", c.OverheadBudget)
@@ -120,8 +135,7 @@ type Stats struct {
 }
 
 // Injector draws fault decisions from its private RNG stream. The nil
-// *Injector is the disabled state: On reports false and every hook is inert,
-// mirroring the obs.Tracer convention.
+// *Injector is the disabled state: On reports false and every hook is inert.
 type Injector struct {
 	// Obs, when enabled, receives a KindFaultInjected event for each fault
 	// that fires (Action names the fault).

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"ccnuma/internal/sim"
@@ -38,6 +39,7 @@ func TestValidate(t *testing.T) {
 		{},
 		{DrainNode: 3, DrainAt: sim.Millisecond},
 		{SlowNode: 0, SlowFactor: 4},
+		{SlowNode: 0, SlowFactor: MaxSlowFactor},
 		{AllocFail: 0.5, AllocFailFrom: sim.Millisecond, AllocFailUntil: 2 * sim.Millisecond},
 		{OverheadBudget: 0.25},
 	}
@@ -55,6 +57,19 @@ func TestValidate(t *testing.T) {
 		{SlowFactor: 0.5},
 		{OverheadBudget: 1.5},
 		{AllocFail: 0.5, AllocFailFrom: 2 * sim.Millisecond, AllocFailUntil: sim.Millisecond},
+		// Non-finite values pass every comparison, so each float field
+		// rejects them outright.
+		{DropBatch: math.NaN()},
+		{DelayBatch: math.NaN()},
+		{AllocFail: math.NaN()},
+		{SlowNode: 1, SlowFactor: math.NaN()},
+		{SlowNode: 1, SlowFactor: math.Inf(1)},
+		{OverheadBudget: math.NaN()},
+		{OverheadBudget: math.Inf(-1)},
+		// A factor past the cap would overflow sim.Time in
+		// ExtraRemoteLatency and schedule events in the past.
+		{SlowNode: 1, SlowFactor: MaxSlowFactor + 1},
+		{SlowNode: 1, SlowFactor: 1e300},
 	}
 	for _, c := range bad {
 		if err := c.Validate(4); err == nil {

@@ -13,9 +13,10 @@
 // Both are driven by the deterministic event engine, so for a fixed seed the
 // exported bytes are identical run to run. A nil *Tracer is the disabled
 // state: call sites guard emissions with On(), which costs one branch
-// (proven by BenchmarkTracerDisabled). An enabled tracer has exactly one
-// output, a func(Event): a Log buffers for export, a Recorder keeps the
-// failure flight ring, a StreamWriter streams NDJSON, and Tee combines them.
+// (proven by BenchmarkTracerDisabled), and an unguarded emission on it
+// panics. An enabled tracer has exactly one output, a func(Event): a Log
+// buffers for export, a Recorder keeps the failure flight ring, a
+// StreamWriter streams NDJSON, and Tee combines them.
 package obs
 
 import (
@@ -148,8 +149,11 @@ func NewEvent(k Kind) Event {
 }
 
 // Tracer hands typed events to one output as they are emitted. The nil
-// *Tracer is the disabled tracer: On() reports false and Emit is a no-op, so
-// instrumented code pays one branch and nothing else. Outputs are plain
+// *Tracer is the disabled tracer: On() reports false, and every emit site
+// sits behind an On() guard, so instrumented code pays one branch and
+// nothing else. Emit and EmitNow panic on nil rather than tolerating it: an
+// unguarded call would build its event for nothing, and the panic makes
+// that fail loudly in any test run with tracing off. Outputs are plain
 // func(Event) values — Log.Add buffers, Recorder.Record keeps the flight
 // ring, StreamWriter.Sink streams NDJSON — and Tee fans one event out to
 // several. Outputs are called synchronously from the emitting goroutine.
@@ -171,19 +175,13 @@ func NewTracer(clock func() sim.Time, out func(Event)) *Tracer {
 // On reports whether the tracer is collecting. Safe on nil.
 func (t *Tracer) On() bool { return t != nil }
 
-// Emit hands an event to the output. No-op on nil.
-func (t *Tracer) Emit(e Event) {
-	if t == nil {
-		return
-	}
-	t.out(e)
-}
+// Emit hands an event to the output. Callers guard it with On(); it panics
+// on nil.
+func (t *Tracer) Emit(e Event) { t.out(e) }
 
-// EmitNow emits an event stamped with the tracer's clock. No-op on nil.
+// EmitNow emits an event stamped with the tracer's clock. Callers guard it
+// with On(); it panics on nil.
 func (t *Tracer) EmitNow(e Event) {
-	if t == nil {
-		return
-	}
 	if t.clock != nil {
 		e.At = t.clock()
 	}

@@ -32,8 +32,17 @@ func TestNilTracerIsSafeAndOff(t *testing.T) {
 	if tr.On() {
 		t.Error("nil tracer reports On")
 	}
-	tr.Emit(NewEvent(KindPageMigrated)) // must not panic
-	tr.EmitNow(NewEvent(KindTLBShootdown))
+	// An emission outside an On() guard must fail loudly, not cost silently.
+	for name, emit := range map[string]func(Event){"Emit": tr.Emit, "EmitNow": tr.EmitNow} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("nil tracer's %s did not panic", name)
+				}
+			}()
+			emit(NewEvent(KindPageMigrated))
+		}()
+	}
 	var l *Log
 	l.Sort()
 	if l.Len() != 0 || l.Events() != nil || l.CountKind(KindPageMigrated) != 0 {

@@ -293,3 +293,9 @@ func TestDisableRemapDecision(t *testing.T) {
 		t.Fatalf("decision = %+v, want the paper's stale-pte behaviour", d)
 	}
 }
+
+// TestObserveDecisionDisabledIsNoOp: with tracing off, ObserveDecision
+// builds and emits nothing (a nil tracer's Emit would panic if it did).
+func TestObserveDecisionDisabledIsNoOp(t *testing.T) {
+	ObserveDecision(nil, 0, 0, 0, 1, Base(), []uint16{3, 1}, 0, 0, Decision{Action: DoNothing})
+}

@@ -92,15 +92,21 @@ func TestHarnessRetriesTransientFailure(t *testing.T) {
 // joined — the deadline propagates into the engine loop, so it exits
 // cooperatively (here the delay sits in the PreRun hook, so the join waits
 // out the hook; TestHarnessTimeoutStopsSimulation covers a genuinely long
-// simulation).
+// simulation). The outcome is the attempt's own, never a race between it
+// and the deadline, so the harness must not return before the hook does.
 func TestHarnessRunTimeout(t *testing.T) {
 	h := NewHarness(0.05, 1)
 	h.KeepGoing = true
 	h.RunTimeout = 20 * time.Millisecond
+	var hookDone atomic.Bool
 	h.PreRun = func(string, core.Options) {
 		time.Sleep(300 * time.Millisecond)
+		hookDone.Store(true)
 	}
 	res := h.Run("engineering", core.Options{Duration: 5 * sim.Millisecond})
+	if !hookDone.Load() {
+		t.Fatal("the harness returned before joining the timed-out attempt")
+	}
 	if !res.Failed {
 		t.Fatal("timed-out run did not return the failure placeholder")
 	}

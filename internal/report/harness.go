@@ -265,7 +265,7 @@ func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *
 		h.addSpan(Span{Workload: wl, ID: id, State: SpanQueued, Slot: slot,
 			Start: enter, End: h.sinceStart()})
 	}
-	t0 := wallNow()
+	t0 := time.Now()
 	res, fail, err := h.attempt(ctx, wl, id, slot,
 		func() *workload.Spec { return h.spec(wl) }, opt)
 	if err != nil {
@@ -286,7 +286,7 @@ func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *
 		e.res = res
 		return res
 	}
-	wall := wallSince(t0)
+	wall := time.Since(t0)
 	h.logf("done  %s id=%016x policy=%s simulated=%v wall=%v",
 		wl, keyID(key), res.Policy, res.Elapsed, wall.Round(time.Millisecond))
 	h.mu.Lock()
@@ -344,7 +344,8 @@ func (h *Harness) attempt(ctx context.Context, wl, id string, slot int, build fu
 			r0 = h.sinceStart()
 		}
 		timer := time.NewTimer(backoff)
-		//numalint:allow determinism retry backoff races the caller's cancellation by design; both arms lead to a failure path, never into results
+		// The backoff races the caller's cancellation by design; both arms
+		// lead to a failure path, never into results.
 		select {
 		case <-timer.C:
 		case <-ctx.Done():
@@ -439,13 +440,13 @@ func (h *Harness) Execute(ctx context.Context, label string, build func() *workl
 	id := fmt.Sprintf("%016x", keyID(label+"|"+opt.Fingerprint()))
 	h.executed.Add(1)
 	h.logf("start %s id=%s", label, id)
-	t0 := wallNow()
+	t0 := time.Now()
 	res, fail, err := h.attempt(ctx, label, id, -1, build, opt)
 	if err != nil {
 		return nil, fail, err
 	}
 	h.logf("done  %s id=%s policy=%s simulated=%v wall=%v",
-		label, id, res.Policy, res.Elapsed, wallSince(t0).Round(time.Millisecond))
+		label, id, res.Policy, res.Elapsed, time.Since(t0).Round(time.Millisecond))
 	return res, nil, nil
 }
 

@@ -54,9 +54,9 @@ func (h *Harness) sinceStart() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.spanEpoch.IsZero() {
-		h.spanEpoch = wallNow()
+		h.spanEpoch = time.Now()
 	}
-	return wallSince(h.spanEpoch)
+	return time.Since(h.spanEpoch)
 }
 
 func (h *Harness) addSpan(s Span) {

@@ -107,7 +107,8 @@ func (c *cache) do(ctx context.Context, key string, fn func() ([]byte, error)) (
 		}
 		if f, ok := c.inflight[key]; ok {
 			c.mu.Unlock()
-			//numalint:allow determinism follower wait races its own deadline by design; both arms lead to response plumbing, never into result bytes
+			// The follower's wait races its own deadline by design; both arms lead
+			// to response plumbing, never into result bytes.
 			select {
 			case <-f.done:
 			case <-ctx.Done():

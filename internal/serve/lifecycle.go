@@ -41,7 +41,8 @@ func (s *Server) Shutdown() bool {
 	}()
 	clean := true
 	timer := time.NewTimer(s.cfg.DrainTimeout)
-	//numalint:allow determinism the drain deadline is wall-clock by nature; it decides process exit, never result bytes
+	// The drain deadline is wall-clock by nature: it decides process exit,
+	// never result bytes.
 	select {
 	case <-done:
 		timer.Stop()

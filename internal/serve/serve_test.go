@@ -129,6 +129,7 @@ func TestBadRequests(t *testing.T) {
 		{"missing workload", `{}`, ""},
 		{"negative scale", `{"workload":"engineering","scale":-1}`, ""},
 		{"bad fault config", `{"workload":"engineering","faults":{"drop_batch":2}}`, ""},
+		{"slow factor past the cap", `{"workload":"engineering","faults":{"slow_node":1,"slow_factor":1e300}}`, "fault: SlowFactor 1e+300 above the cap of 1000"},
 		{"not json", `hello`, ""},
 	}
 	for _, c := range cases {

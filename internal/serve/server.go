@@ -212,7 +212,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Admission stage 1: a queue slot, non-blocking. None free means the
 	// server is saturated past its declared queue depth — shed immediately
 	// with backpressure rather than letting goroutines pile up unboundedly.
-	//numalint:allow determinism load shedding is a scheduling-timing decision by design; a 429 is backpressure, never result bytes
+	// Shedding is a timing decision by design: a 429 is backpressure, never
+	// result bytes.
 	select {
 	case s.queueSlots <- struct{}{}:
 	default:
@@ -241,8 +242,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// Admission stage 2: a run slot. Shedding prefers queued work over
 	// running work — a drain closes drainCh, answering every waiter here
-	// with 503 while the Workers already simulating finish.
-	//numalint:allow determinism admission arbitration is wall-clock by nature; every arm leads to response plumbing, never into result bytes
+	// with 503 while the Workers already simulating finish. The arbitration
+	// is wall-clock by nature; every arm leads to response plumbing, never
+	// into result bytes.
 	select {
 	case s.runSlots <- struct{}{}:
 	case <-s.drainCh:
@@ -261,7 +263,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	t0 := wallNow()
+	t0 := time.Now()
 	body, err := s.cache.do(ctx, job.Key, func() ([]byte, error) {
 		res, fail, rerr := s.harness.Execute(ctx, job.Label, job.Spec, job.Opt)
 		if rerr != nil {
@@ -279,7 +281,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.served.Add(1)
-	s.logf("serve %s key=%q wall=%v", job.Label, job.Key, wallSince(t0).Round(time.Millisecond))
+	s.logf("serve %s key=%q wall=%v", job.Label, job.Key, time.Since(t0).Round(time.Millisecond))
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body) //nolint:errcheck // nothing left to do for a gone client
 }

@@ -122,8 +122,6 @@ func (e *Engine) Register(h Handler) Kind {
 
 // AtKind schedules the handler registered under k to run at absolute time at
 // with the given arg. Like At, scheduling in the past panics.
-//
-//numalint:hotpath
 func (e *Engine) AtKind(at Time, k Kind, arg uint64) {
 	if at < e.now {
 		panic("sim: event scheduled in the past")
@@ -138,8 +136,6 @@ func (e *Engine) AtKind(at Time, k Kind, arg uint64) {
 
 // AfterKind schedules the handler registered under k to run d nanoseconds
 // from now with the given arg.
-//
-//numalint:hotpath
 func (e *Engine) AfterKind(d Time, k Kind, arg uint64) {
 	if d < 0 {
 		panic("sim: negative delay")
@@ -175,8 +171,6 @@ func (e *Engine) periodicTick(now Time, arg uint64) {
 
 // Step dispatches the next event, advancing the clock to its time. It
 // returns false when no events remain.
-//
-//numalint:hotpath
 func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false

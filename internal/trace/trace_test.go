@@ -69,6 +69,34 @@ func TestReadRejectsShortRecord(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnsimulatableTraces: a lone record naming page
+// 0xfffffff0 would size the policy simulator's tables at 2^32 pages, and an
+// out-of-order pair breaks its time-order assumption; both are refused.
+func TestValidateRejectsUnsimulatableTraces(t *testing.T) {
+	var buf [recordSize]byte
+	encode(buf[:], Record{At: 1, Page: 0xfffffff0})
+	huge, err := Read(bytes.NewReader(buf[:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := huge.Validate(); err == nil {
+		t.Error("page 0xfffffff0 accepted")
+	}
+	unordered := &Trace{}
+	unordered.Append(readRec(9, 0, 1))
+	unordered.Append(readRec(5, 1, 2))
+	if err := unordered.Validate(); err == nil {
+		t.Error("out-of-order records accepted")
+	}
+	ok := &Trace{}
+	ok.Append(readRec(5, 0, MaxPages-1))
+	ok.Append(readRec(5, 1, 0))
+	ok.Append(readRec(9, 1, 2))
+	if err := ok.Validate(); err != nil {
+		t.Errorf("valid trace rejected: %v", err)
+	}
+}
+
 func TestFilters(t *testing.T) {
 	tr := &Trace{}
 	tr.Append(Record{Src: CacheMiss, Kernel: false})
