@@ -2,10 +2,11 @@ GO ?= go
 
 # Tier-1 verification plus formatting, the one-CPU goldens, the race detector,
 # and benchmark smoke runs. `make ci` is what a CI job should run.
-.PHONY: ci fmt-check vet build test golden-1cpu race fault-smoke bench-smoke \
-	obs-bench-smoke serve-smoke bench
+.PHONY: ci fmt-check vet build test perfbench-check golden-1cpu race fault-smoke \
+	bench-smoke obs-bench-smoke serve-smoke bench
 
-ci: fmt-check vet build golden-1cpu race fault-smoke bench-smoke obs-bench-smoke serve-smoke
+ci: fmt-check vet build perfbench-check golden-1cpu race fault-smoke bench-smoke \
+	obs-bench-smoke serve-smoke
 
 # $(call named,PKG,PATTERN) fails unless every |-separated alternative of
 # PATTERN matches a test or benchmark in PKG (listed with go test -list).
@@ -32,6 +33,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench is a module of its own (replace ccnuma => ../), so the root
+# go build ./... and go test ./... skip it; an API change that breaks it
+# would otherwise show only when perfbench/run.sh runs. Offline, ~2 s.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The byte goldens again with the process pinned to one CPU, at -cpu 1 and 2.
 # A branch on runtime.GOMAXPROCS or runtime.NumCPU passes on a multi-core

@@ -37,6 +37,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *nodes < 1 || *nodes > tracesim.MaxNodes {
+		fatal(fmt.Errorf("-nodes %d out of range [1, %d]", *nodes, tracesim.MaxNodes))
+	}
 	var tr *trace.Trace
 	trig := uint16(128)
 	switch {
@@ -48,7 +51,8 @@ func main() {
 		tr, err = trace.Read(f)
 		f.Close()
 		if err == nil {
-			err = tr.Validate()
+			// The policy simulator models one CPU per node.
+			err = tr.Validate(*nodes)
 		}
 		if err != nil {
 			fatal(err)

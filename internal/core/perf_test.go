@@ -40,7 +40,7 @@ var hotPathCases = []hotPathCase{
 		spec: func() *workload.Spec {
 			s := tinySpec(workload.SchedPinned, 1<<62)
 			for _, ps := range s.Procs {
-				g := ps.Gen.(*workload.Gen)
+				g := ps.Gen
 				g.BlockEvery, g.BlockDur = 300, 20*sim.Microsecond
 			}
 			return s

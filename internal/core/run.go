@@ -98,7 +98,7 @@ func (s *System) step(c *cpuState, now sim.Time) {
 		case workload.StepBlock:
 			s.schedul.Block(p.sp)
 			c.cur = nil
-			s.eng.AtKind(t+st.Dur, s.wakeKind, uint64(p.vmID)<<32|uint64(p.slotGen))
+			s.eng.AtKind(t+p.gen.LastBlock(), s.wakeKind, uint64(p.vmID)<<32|uint64(p.slotGen))
 		case workload.StepAccess:
 			var missed bool
 			t, missed = s.access(c, p, st, t)
@@ -119,8 +119,9 @@ func (s *System) step(c *cpuState, now sim.Time) {
 // miss) the NUMA memory system, charging all latencies and feeding the
 // policy counters and the trace.
 func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time) (sim.Time, bool) {
+	kernel := p.gen.Kernel()
 	mode := stats.User
-	if st.Kernel {
+	if kernel {
 		mode = stats.Kernel
 	}
 	side := stats.Data
@@ -146,7 +147,7 @@ func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time)
 			t += s.cfg.TLBRefill
 			if s.tracer != nil {
 				s.tracer.Append(trace.Record{At: t, Page: page, CPU: c.id,
-					Kind: st.Access, Kernel: st.Kernel, Src: trace.TLBMiss})
+					Kind: st.Access, Kernel: kernel, Src: trace.TLBMiss})
 			}
 			pte, kind := s.vmm.Touch(p.vmID, page, c.node)
 			if !s.opt.Metric.CacheDriven() {
@@ -209,7 +210,7 @@ func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time)
 		t += lat
 		if s.tracer != nil {
 			s.tracer.Append(trace.Record{At: t, Page: page, CPU: c.id,
-				Kind: st.Access, Kernel: st.Kernel, Src: trace.CacheMiss})
+				Kind: st.Access, Kernel: kernel, Src: trace.CacheMiss})
 		}
 		if !wired && s.opt.Metric.CacheDriven() {
 			s.counters.Record(page, c.id, st.Access.IsWrite(), remote)

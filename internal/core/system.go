@@ -39,7 +39,7 @@ type procState struct {
 	// identity used wherever per-spec state is kept (pointer-keyed maps are
 	// banned: ranging one is latent nondeterminism).
 	specIdx int
-	gen     workload.Generator
+	gen     *workload.Gen
 	alive   bool
 	// slotGen distinguishes successive occupants of a reused vm ProcID slot,
 	// so a typed wake event scheduled for an exited process cannot wake its

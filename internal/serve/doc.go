@@ -20,9 +20,11 @@
 // Admission is a two-stage token scheme. A request first takes a queue slot
 // (capacity Workers+QueueDepth); none free means the server is saturated and
 // the request is rejected immediately with 429 and a Retry-After — never an
-// unbounded goroutine pile. Admitted requests then wait for one of Workers
-// run slots before simulating. Shedding prefers queued work over running
-// work: a drain rejects the waiters (503) while in-flight simulations finish.
+// unbounded goroutine pile. An admitted request that must simulate then
+// waits for one of Workers run slots; a cache hit, or a follower sharing
+// another request's in-flight run, takes none. Shedding prefers queued work
+// over running work: a drain rejects the waiters (503) while in-flight
+// simulations finish.
 //
 // # Deadlines
 //

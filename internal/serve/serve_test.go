@@ -273,6 +273,103 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	}
 }
 
+// heldBody is a novel request the tests below wedge at the harness gate, so
+// it holds a run slot for as long as the test wants.
+const heldBody = `{"workload":"engineering","scale":0.05,"duration_ns":5000000,"seed":7}`
+
+// holdSeed7 makes every run of seed 7 wait before simulating until the
+// returned release is called. Deferring release after s.Shutdown lets a
+// failing test drain instead of hanging on the gate.
+func holdSeed7(s *Server) (release func()) {
+	gate := make(chan struct{})
+	s.harness.PreRun = func(_ string, opt core.Options) {
+		if opt.Seed == 7 {
+			<-gate
+		}
+	}
+	return sync.OnceFunc(func() { close(gate) })
+}
+
+// TestCacheHitSkipsRunSlot: with the only worker held by a novel run, a
+// request for a warm key is answered from the cache, byte-identical, before
+// that run finishes. A hit simulates nothing and must not queue for a worker.
+func TestCacheHitSkipsRunSlot(t *testing.T) {
+	// The deadline bounds how long a hit that did queue for the worker
+	// would wait before failing.
+	s := New(Config{Workers: 1, RequestTimeout: 5 * time.Second})
+	defer s.Shutdown()
+	want := directRun(t, smallBody)
+	if rec := post(s, smallBody); rec.Code != http.StatusOK {
+		t.Fatalf("warming run: status %d body %s", rec.Code, rec.Body.String())
+	}
+
+	release := holdSeed7(s)
+	defer release()
+	held := make(chan int, 1)
+	go func() { held <- post(s, heldBody).Code }()
+	waitUntil(t, "the novel run to hold the worker", func() bool { return s.running.Load() == 1 })
+
+	rec := post(s, smallBody)
+	select {
+	case <-held:
+		t.Fatal("the held run finished before the gate opened")
+	default:
+	}
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("warm key while the worker is busy: status %d body %s", rec.Code, rec.Body.String())
+	}
+	release()
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held run: status %d", code)
+	}
+}
+
+// TestFollowerHoldsNoRunSlot: a single-flight follower waits on the owner's
+// run without taking a worker of its own, so with two workers a second
+// novel run proceeds while the first (and its follower) are held.
+func TestFollowerHoldsNoRunSlot(t *testing.T) {
+	s := New(Config{Workers: 2, RequestTimeout: 5 * time.Second})
+	defer s.Shutdown()
+	release := holdSeed7(s)
+	defer release()
+	codes := make(chan int, 2)
+	go func() { codes <- post(s, heldBody).Code }()
+	waitUntil(t, "the owner to hold a worker", func() bool { return s.running.Load() == 1 })
+	go func() { codes <- post(s, heldBody).Code }()
+	waitUntil(t, "the follower to be admitted", func() bool { return s.admitted.Load() == 2 })
+
+	if rec := post(s, smallBody); rec.Code != http.StatusOK {
+		t.Fatalf("novel run beside a held owner and follower: status %d body %s", rec.Code, rec.Body.String())
+	}
+	if n := s.running.Load(); n != 1 {
+		t.Fatalf("%d runs hold workers, want only the owner", n)
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("held owner or follower: status %d", code)
+		}
+	}
+}
+
+// TestQueuedOwnerDeadline: an owner still queued for a worker when its
+// deadline passes is answered 504.
+func TestQueuedOwnerDeadline(t *testing.T) {
+	s := New(Config{Workers: 1, RequestTimeout: 200 * time.Millisecond})
+	defer s.Shutdown()
+	release := holdSeed7(s)
+	defer release()
+	held := make(chan int, 1)
+	go func() { held <- post(s, heldBody).Code }()
+	waitUntil(t, "the novel run to hold the worker", func() bool { return s.running.Load() == 1 })
+
+	if rec := post(s, smallBody); rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("queued owner past its deadline: status %d body %s, want 504", rec.Code, rec.Body.String())
+	}
+	release()
+	<-held // past its own deadline too; only its completion matters here
+}
+
 // TestDrainDeadlineCancelsStragglers: a run that outlives DrainTimeout is
 // cancelled cooperatively — the drain completes (unclean) instead of hanging,
 // and the straggler gets a well-formed 503, not a dead connection.

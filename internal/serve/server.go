@@ -240,31 +240,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
-	// Admission stage 2: a run slot. Shedding prefers queued work over
-	// running work — a drain closes drainCh, answering every waiter here
-	// with 503 while the Workers already simulating finish. The arbitration
-	// is wall-clock by nature; every arm leads to response plumbing, never
-	// into result bytes.
-	select {
-	case s.runSlots <- struct{}{}:
-	case <-s.drainCh:
-		writeError(w, http.StatusServiceUnavailable, errorBody{Error: "draining: queued request shed"})
-		return
-	case <-ctx.Done():
-		s.writeRunError(w, r, ctx.Err(), nil)
-		return
-	}
-	defer func() { <-s.runSlots }()
-	s.running.Add(1)
-	defer s.running.Add(-1)
-
 	if job.Stream {
+		if err := s.acquireRun(ctx); err != nil {
+			s.writeRunError(w, r, err, nil)
+			return
+		}
+		defer s.releaseRun()
 		s.streamRun(ctx, w, job)
 		return
 	}
 
+	// Only the single-flight owner of a missing key takes a run slot, inside
+	// the fill: a cache hit or a follower of someone else's run simulates
+	// nothing and must not wait behind, or occupy, a worker.
 	t0 := time.Now()
 	body, err := s.cache.do(ctx, job.Key, func() ([]byte, error) {
+		if err := s.acquireRun(ctx); err != nil {
+			return nil, err
+		}
+		defer s.releaseRun()
 		res, fail, rerr := s.harness.Execute(ctx, job.Label, job.Spec, job.Opt)
 		if rerr != nil {
 			return nil, &runError{fail: fail, err: rerr}
@@ -286,12 +280,39 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Write(body) //nolint:errcheck // nothing left to do for a gone client
 }
 
+// errShed is a queued run refused by a drain before it took a run slot.
+var errShed = errors.New("draining: queued request shed")
+
+// acquireRun is admission stage 2: a run slot. Shedding prefers queued work
+// over running work — a drain closes drainCh, answering every waiter here
+// with errShed while the Workers already simulating finish. The arbitration
+// is wall-clock by nature; every arm leads to response plumbing, never into
+// result bytes. A nil return must be paired with releaseRun.
+func (s *Server) acquireRun(ctx context.Context) error {
+	select {
+	case s.runSlots <- struct{}{}:
+		s.running.Add(1)
+		return nil
+	case <-s.drainCh:
+		return errShed
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (s *Server) releaseRun() {
+	s.running.Add(-1)
+	<-s.runSlots
+}
+
 // writeRunError maps a failed run (or a dead context) to its status: 504 for
-// a deadline, 503 for a drain-induced cancel, nothing at all for a client
-// that hung up (there is no one left to answer), 500 for a genuine
+// a deadline, 503 for a drain-induced cancel or shed, nothing at all for a
+// client that hung up (there is no one left to answer), 500 for a genuine
 // simulation failure — always with the failure manifest when one exists.
 func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error, fail *report.RunFailure) {
 	switch {
+	case errors.Is(err, errShed):
+		writeError(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, errorBody{Error: "deadline exceeded: " + err.Error(), Failure: fail})
 	case errors.Is(err, context.Canceled):

@@ -53,6 +53,28 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// Threshold converts a probability into the integer form Below compares
+// against: Float64() < p holds exactly when Uint64()>>11 < Threshold(p),
+// since Float64 is k/2^53 for the integer k = Uint64()>>11 and p·2^53 is
+// exact in float64. p <= 0 and NaN give 0 (never), p >= 1 gives 2^53
+// (always).
+func Threshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below draws once and reports whether the draw falls under th, a value
+// from Threshold. Below(Threshold(p)) consumes and decides exactly as
+// Bool(p) does, without the float conversion and compare.
+func (r *Rand) Below(th uint64) bool {
+	return r.Uint64()>>11 < th
+}
+
 // Split derives a child generator whose stream is independent of subsequent
 // draws from r. It is used to hand each workload process its own stream.
 func (r *Rand) Split() *Rand {

@@ -206,26 +206,26 @@ func ZeroNet() Config {
 }
 
 // TotalCPUs returns the number of processors in the machine.
-func (c Config) TotalCPUs() int { return c.Nodes * c.CPUsPerNode }
+func (c *Config) TotalCPUs() int { return c.Nodes * c.CPUsPerNode }
 
 // FramesPerNode returns how many page frames each node's memory holds.
-func (c Config) FramesPerNode() int { return int(c.MemoryPerNode / mem.PageSize) }
+func (c *Config) FramesPerNode() int { return int(c.MemoryPerNode / mem.PageSize) }
 
 // TotalFrames returns the machine-wide frame count.
-func (c Config) TotalFrames() int { return c.Nodes * c.FramesPerNode() }
+func (c *Config) TotalFrames() int { return c.Nodes * c.FramesPerNode() }
 
 // NodeOf returns the home node of a CPU.
-func (c Config) NodeOf(cpu mem.CPUID) mem.NodeID {
+func (c *Config) NodeOf(cpu mem.CPUID) mem.NodeID {
 	return mem.NodeID(int(cpu) / c.CPUsPerNode)
 }
 
 // NodeOfFrame returns the node whose memory holds frame f.
-func (c Config) NodeOfFrame(f mem.PFN) mem.NodeID {
+func (c *Config) NodeOfFrame(f mem.PFN) mem.NodeID {
 	return mem.NodeID(int(f) / c.FramesPerNode())
 }
 
 // CopyCost returns the configured page-copy cost (step 7).
-func (c Config) CopyCost() sim.Time {
+func (c *Config) CopyCost() sim.Time {
 	if c.DirCopy {
 		return c.Kernel.PageCopyDir
 	}
@@ -233,7 +233,7 @@ func (c Config) CopyCost() sim.Time {
 }
 
 // Validate reports the first inconsistency in the configuration, or nil.
-func (c Config) Validate() error {
+func (c *Config) Validate() error {
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("topology: %d nodes", c.Nodes)

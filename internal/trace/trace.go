@@ -126,13 +126,17 @@ func (t *Trace) MaxPage() int {
 // times the largest paper workload at full scale.
 const MaxPages = 1 << 20
 
-// Validate checks what policy simulation relies on: every page id below
-// MaxPages and record times non-negative and non-decreasing.
-func (t *Trace) Validate() error {
+// Validate checks what policy simulation of the trace on a machine of cpus
+// processors relies on: every page id below MaxPages, every CPU below cpus,
+// and record times non-negative and non-decreasing.
+func (t *Trace) Validate(cpus int) error {
 	var prev sim.Time
 	for i, r := range t.Records {
 		if r.Page >= MaxPages {
 			return fmt.Errorf("trace: record %d names page %#x, above the bound of %#x", i, uint32(r.Page), MaxPages)
+		}
+		if r.CPU < 0 || int(r.CPU) >= cpus {
+			return fmt.Errorf("trace: record %d names CPU %d, but the machine has %d CPUs", i, r.CPU, cpus)
 		}
 		if r.At < prev {
 			return fmt.Errorf("trace: record %d at %d ns precedes the time before it (%d ns); records must be in time order", i, int64(r.At), int64(prev))

@@ -70,8 +70,9 @@ func TestReadRejectsShortRecord(t *testing.T) {
 }
 
 // TestValidateRejectsUnsimulatableTraces: a lone record naming page
-// 0xfffffff0 would size the policy simulator's tables at 2^32 pages, and an
-// out-of-order pair breaks its time-order assumption; both are refused.
+// 0xfffffff0 would size the policy simulator's tables at 2^32 pages, an
+// out-of-order pair breaks its time-order assumption, and a CPU the machine
+// does not have would be folded silently onto some node; all are refused.
 func TestValidateRejectsUnsimulatableTraces(t *testing.T) {
 	var buf [recordSize]byte
 	encode(buf[:], Record{At: 1, Page: 0xfffffff0})
@@ -79,21 +80,34 @@ func TestValidateRejectsUnsimulatableTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := huge.Validate(); err == nil {
+	if err := huge.Validate(8); err == nil {
 		t.Error("page 0xfffffff0 accepted")
 	}
 	unordered := &Trace{}
 	unordered.Append(readRec(9, 0, 1))
 	unordered.Append(readRec(5, 1, 2))
-	if err := unordered.Validate(); err == nil {
+	if err := unordered.Validate(8); err == nil {
 		t.Error("out-of-order records accepted")
 	}
 	ok := &Trace{}
 	ok.Append(readRec(5, 0, MaxPages-1))
 	ok.Append(readRec(5, 1, 0))
 	ok.Append(readRec(9, 1, 2))
-	if err := ok.Validate(); err != nil {
+	ok.Append(readRec(9, 7, 2))
+	if err := ok.Validate(8); err != nil {
 		t.Errorf("valid trace rejected: %v", err)
+	}
+	if err := ok.Validate(7); err == nil {
+		t.Error("CPU 7 accepted on a 7-CPU machine")
+	}
+	var cpu [recordSize]byte
+	encode(cpu[:], Record{At: 1, CPU: 200})
+	foreign, err := Read(bytes.NewReader(cpu[:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := foreign.Validate(8); err == nil {
+		t.Error("CPU 200 accepted on an 8-CPU machine")
 	}
 }
 

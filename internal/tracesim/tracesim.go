@@ -186,10 +186,14 @@ func (p *pageState) hasCopy(n mem.NodeID) bool {
 	return (p.placed && p.home == n) || p.replicas&(1<<uint(n)) != 0
 }
 
+// MaxNodes is the largest machine Simulate models (replica sets are 16-bit
+// node masks).
+const MaxNodes = 16
+
 // Simulate runs one policy over the trace. The trace must be time-ordered
 // (as produced by the machine simulator).
 func Simulate(tr *trace.Trace, cfg Config, kind PolicyKind) Outcome {
-	if cfg.Nodes <= 0 || cfg.Nodes > 16 {
+	if cfg.Nodes <= 0 || cfg.Nodes > MaxNodes {
 		panic(fmt.Sprintf("tracesim: unsupported node count %d", cfg.Nodes))
 	}
 	pages := tr.MaxPage()

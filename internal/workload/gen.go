@@ -46,6 +46,7 @@ type Gen struct {
 	r         *sim.Rand
 	count     uint64
 	inKernel  bool
+	lastBlock sim.Time
 	phaseLeft int
 	nextBlock int
 	data      *weighted
@@ -54,6 +55,11 @@ type Gen struct {
 	lastK     [2]uint32 // last kernel data (page, line)
 	haveU     bool
 	haveK     bool
+
+	// Thresholds (sim.Threshold) of DataFrac, KDataFrac, Locality and
+	// KLocality, fixed at Reset so each per-reference coin is one integer
+	// compare.
+	dataTh, kdataTh, locTh, klocTh uint64
 }
 
 // Reset seeds the generator; it must be called before first use (the
@@ -78,7 +84,16 @@ func (g *Gen) Reset(seed uint64) {
 	if g.KernelBurst <= 0 {
 		g.KernelBurst = 200
 	}
+	g.dataTh, g.kdataTh = sim.Threshold(g.DataFrac), sim.Threshold(g.KDataFrac)
+	g.locTh, g.klocTh = sim.Threshold(g.Locality), sim.Threshold(g.KLocality)
 }
+
+// Kernel reports whether the step Next last returned executes in kernel
+// mode.
+func (g *Gen) Kernel() bool { return g.inKernel }
+
+// LastBlock is the duration of the last StepBlock Next returned.
+func (g *Gen) LastBlock() sim.Time { return g.lastBlock }
 
 // Next produces the process's next step while running on cpu.
 func (g *Gen) Next(cpu mem.CPUID) Step {
@@ -90,8 +105,8 @@ func (g *Gen) Next(cpu mem.CPUID) Step {
 		g.nextBlock--
 		if g.nextBlock <= 0 {
 			g.nextBlock = 1 + g.r.Geometric(float64(g.BlockEvery))
-			d := sim.Time(float64(g.BlockDur) * (0.5 + g.r.Float64()))
-			return Step{Kind: StepBlock, Dur: d}
+			g.lastBlock = sim.Time(float64(g.BlockDur) * (0.5 + g.r.Float64()))
+			return Step{Kind: StepBlock}
 		}
 	}
 
@@ -110,10 +125,12 @@ func (g *Gen) Next(cpu mem.CPUID) Step {
 		}
 	}
 
-	st := Step{Kind: StepAccess, Kernel: g.inKernel}
+	// A zero locality threshold skips the repeat coin's draw entirely (a
+	// threshold is non-zero exactly when its probability is positive).
+	st := Step{Kind: StepAccess}
 	if g.inKernel {
-		if g.r.Bool(g.KDataFrac) {
-			if g.haveK && g.KLocality > 0 && g.r.Bool(g.KLocality) {
+		if g.r.Below(g.kdataTh) {
+			if g.haveK && g.klocTh > 0 && g.r.Below(g.klocTh) {
 				st.Page, st.Line, st.Access = mem.GPage(g.lastK[0]), uint8(g.lastK[1]), mem.DataRead
 				return st
 			}
@@ -125,8 +142,8 @@ func (g *Gen) Next(cpu mem.CPUID) Step {
 		}
 		return st
 	}
-	if g.r.Bool(g.DataFrac) {
-		if g.haveU && g.Locality > 0 && g.r.Bool(g.Locality) {
+	if g.r.Below(g.dataTh) {
+		if g.haveU && g.locTh > 0 && g.r.Below(g.locTh) {
 			st.Page, st.Line, st.Access = mem.GPage(g.lastU[0]), uint8(g.lastU[1]), mem.DataRead
 			return st
 		}

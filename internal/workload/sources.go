@@ -241,30 +241,34 @@ func (s *CodeWalk) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessK
 	return s.Reg.Page(line / mem.LinesPerPage), uint8(line % mem.LinesPerPage), mem.InstrFetch
 }
 
-// weighted selects among sources with fixed weights.
+// weighted selects among sources with fixed weights. cum holds each
+// source's cumulative share as a sim.Threshold, so a pick compares one
+// integer draw against integers: the same draw picks the same source as
+// comparing Float64() against the float cumulative shares.
 type weighted struct {
 	srcs []Source
-	cum  []float64
+	cum  []uint64
 }
 
 func newWeighted(srcs []Source, weights []float64) *weighted {
 	if len(srcs) != len(weights) || len(srcs) == 0 {
 		panic("workload: bad weighted source")
 	}
-	w := &weighted{srcs: srcs, cum: make([]float64, len(weights))}
+	cum := make([]float64, len(weights))
 	sum := 0.0
 	for i, x := range weights {
 		sum += x
-		w.cum[i] = sum
+		cum[i] = sum
 	}
-	for i := range w.cum {
-		w.cum[i] /= sum
+	w := &weighted{srcs: srcs, cum: make([]uint64, len(weights))}
+	for i := range cum {
+		w.cum[i] = sim.Threshold(cum[i] / sum)
 	}
 	return w
 }
 
 func (w *weighted) pick(r *sim.Rand) Source {
-	u := r.Float64()
+	u := r.Uint64() >> 11
 	for i, c := range w.cum {
 		if u < c {
 			return w.srcs[i]

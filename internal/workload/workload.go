@@ -26,14 +26,22 @@ const (
 	StepExit
 )
 
-// Step is one unit of process behaviour.
+// Step is one unit of process behaviour. Page, Line and Access describe a
+// StepAccess reference; the step's mode is (*Gen).Kernel and a StepBlock's
+// duration is (*Gen).LastBlock.
+//
+// Step must keep four fields or fewer. The Go compiler keeps a struct of at
+// most four fields in registers across a call; a fifth spills every
+// reference to the stack on its way from Gen.Next through the CPU step loop
+// into the memory access, and that spill (narrow stores read back by wide
+// loads, which defeats store forwarding) was most of the step loop's own
+// host time. State about a step that the access path rarely needs belongs
+// on the generator, behind an accessor.
 type Step struct {
 	Kind   StepKind
 	Page   mem.GPage
 	Line   uint8
 	Access mem.AccessKind
-	Kernel bool
-	Dur    sim.Time // block duration for StepBlock
 }
 
 // RegionKind classifies a mapped region.
@@ -105,14 +113,6 @@ func (l *Layout) NewRegion(name string, n int, kind RegionKind, shared bool) Reg
 // Pages returns the total number of pages laid out.
 func (l *Layout) Pages() int { return int(l.next) }
 
-// Generator produces a process's step stream. Next receives the CPU the
-// process is currently running on (per-CPU kernel structures depend on it).
-type Generator interface {
-	Next(cpu mem.CPUID) Step
-	// Reset re-seeds the generator for a respawned process.
-	Reset(seed uint64)
-}
-
 // SchedKind selects the scheduling discipline (Section 6).
 type SchedKind int
 
@@ -128,7 +128,9 @@ const (
 // ProcSpec describes one process.
 type ProcSpec struct {
 	Name string
-	Gen  Generator
+	// Gen produces the process's step stream; Reset re-seeds it for a
+	// respawned process.
+	Gen *Gen
 	// Pin >= 0 fixes the process to that CPU (pinned scheduling).
 	Pin mem.CPUID
 	// Job groups processes for space partitioning.

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"ccnuma/internal/mem"
+	"ccnuma/internal/sim"
 )
 
 func TestAllWorkloadsBuildAndValidate(t *testing.T) {
@@ -135,7 +137,7 @@ func TestGenBlocks(t *testing.T) {
 		st := g.Next(0)
 		if st.Kind == StepBlock {
 			blocks++
-			if st.Dur <= 0 {
+			if g.LastBlock() <= 0 {
 				t.Fatal("non-positive block duration")
 			}
 		}
@@ -163,7 +165,7 @@ func TestGenKernelFraction(t *testing.T) {
 	kernel := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		if g.Next(0).Kernel {
+		if g.Next(0).Kind == StepAccess && g.Kernel() {
 			kernel++
 		}
 	}
@@ -244,5 +246,62 @@ func TestChunkDisjointInteriors(t *testing.T) {
 func TestScaled(t *testing.T) {
 	if scaled(100, 0.5) != 50 || scaled(1, 0.01) != 1 || scaled(10, 2) != 20 {
 		t.Fatal("scaled() wrong")
+	}
+}
+
+// TestStepFitsInRegisters guards Step's size: past four fields the compiler
+// spills every reference to the stack between Gen.Next and the access.
+func TestStepFitsInRegisters(t *testing.T) {
+	if n := reflect.TypeOf(Step{}).NumField(); n > 4 {
+		t.Fatalf("workload.Step has %d fields, want at most 4: see the comment on Step "+
+			"(internal/workload/workload.go) and move the new field onto Gen behind an accessor", n)
+	}
+}
+
+// TestWeightedPickMatchesFloat checks that the integer cumulative thresholds
+// pick the same source, from the same draw, as comparing Float64 against
+// the float cumulative shares.
+func TestWeightedPickMatchesFloat(t *testing.T) {
+	weightSets := [][]float64{
+		{1},
+		{0.4, 0.3, 0.2, 0.1},
+		{3, 1},
+		{0.7, 0.2, 0.1},
+		{1, 0, 2},
+		{1e-9, 1, 1e-9},
+		{0.15, 0.25, 0.35, 0.25},
+	}
+	src := sim.NewRand(3)
+	for _, ws := range weightSets {
+		srcs := make([]Source, len(ws))
+		for i := range srcs {
+			srcs[i] = &Sync{WriteFrac: float64(i)} // distinct, comparable values
+		}
+		w := newWeighted(srcs, ws)
+		cum := make([]float64, len(ws))
+		sum := 0.0
+		for i, x := range ws {
+			sum += x
+			cum[i] = sum
+		}
+		for i := range cum {
+			cum[i] /= sum
+		}
+		floatPick := func(r *sim.Rand) Source {
+			u := r.Float64()
+			for i, c := range cum {
+				if u < c {
+					return srcs[i]
+				}
+			}
+			return srcs[len(srcs)-1]
+		}
+		for i := 0; i < 200000; i++ {
+			seed := src.Uint64()
+			a, b := sim.NewRand(seed), sim.NewRand(seed)
+			if got, want := w.pick(a), floatPick(b); got != want || a.Uint64() != b.Uint64() {
+				t.Fatalf("weights %v seed %#x: integer pick %v, float pick %v", ws, seed, got, want)
+			}
+		}
 	}
 }
