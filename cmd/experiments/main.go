@@ -35,8 +35,8 @@ func main() {
 		out      = flag.String("out", "", "also write the report to this file")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations per experiment")
-		progress = flag.Bool("progress", false, "log each simulation's start/finish/memo-hit to stderr")
-		metrics  = flag.String("metrics", "", "write per-run metrics (JSONL) to this file")
+		progress = flag.Bool("progress", false, "log each simulation attempt and memo hit to stderr")
+		metrics  = flag.String("metrics", "", "write one JSON record per attempt and memo hit (JSONL) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile after the run to this file")
 
@@ -83,7 +83,6 @@ func main() {
 	h.RetryBackoff = *retryBackoff
 	h.RunTimeout = *runTimeout
 	h.KeepGoing = *keepGoing
-	h.CollectSpans = *spansPth != ""
 	h.RecorderDepth = *recorderN
 	if *progress {
 		t0 := time.Now()
@@ -107,9 +106,10 @@ func main() {
 		if *spansPth == "" {
 			return
 		}
+		recs := h.Records()
 		f, err := os.Create(*spansPth)
 		if err == nil {
-			if err = h.WriteSpans(f); err == nil {
+			if err = report.WriteSpans(f, recs); err == nil {
 				err = f.Close()
 			}
 		}
@@ -117,7 +117,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return
 		}
-		fmt.Printf("wrote %s (%d spans; load in Perfetto)\n", *spansPth, len(h.Spans()))
+		fmt.Printf("wrote %s (%d records; load in Perfetto)\n", *spansPth, len(recs))
 	}
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -169,9 +169,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
+		recs := h.Records()
 		enc := json.NewEncoder(f)
-		for _, m := range h.Metrics() {
-			if err := enc.Encode(m); err != nil {
+		for _, r := range recs {
+			if err := enc.Encode(r); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 				os.Exit(1)
 			}
@@ -180,13 +181,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (%d runs)\n", *metrics, executed)
+		fmt.Printf("wrote %s (%d records)\n", *metrics, len(recs))
 	}
 
 	writeOut()
 	writeSpans()
 
-	if failures := h.Failures(); len(failures) > 0 || len(failedExps) > 0 {
+	if failures := report.FailedRuns(h.Records()); len(failures) > 0 || len(failedExps) > 0 {
 		path := *manifest
 		if path == "" {
 			if *out != "" {
@@ -196,10 +197,10 @@ func main() {
 			}
 		}
 		m := struct {
-			Completed         int                 `json:"completed"`
-			Total             int                 `json:"total"`
-			ExperimentsFailed []string            `json:"experiments_failed"`
-			RunsFailed        []report.RunFailure `json:"runs_failed"`
+			Completed         int             `json:"completed"`
+			Total             int             `json:"total"`
+			ExperimentsFailed []string        `json:"experiments_failed"`
+			RunsFailed        []report.Record `json:"runs_failed"`
 		}{
 			Completed:         len(exps) - len(failedExps),
 			Total:             len(exps),
@@ -208,6 +209,9 @@ func main() {
 		}
 		if m.ExperimentsFailed == nil {
 			m.ExperimentsFailed = []string{}
+		}
+		if m.RunsFailed == nil {
+			m.RunsFailed = []report.Record{}
 		}
 		b, err := json.MarshalIndent(m, "", "  ")
 		if err == nil {

@@ -1,0 +1,169 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"testing"
+)
+
+// record is the part of a -metrics line the test reads.
+type record struct {
+	ID       string `json:"id"`
+	Workload string `json:"workload"`
+	State    string `json:"state"`
+	Attempts int    `json:"attempts"`
+}
+
+// TestRecordOutputsAgree runs the built binary end to end on Table 3 at a
+// tiny scale. With a 1 ns run timeout every simulation times out: the run
+// exits 1, every run the manifest lists is in the -metrics file as a timeout
+// record under the same 16-hex-digit id, and every record's slices are in
+// the -spans trace. Without the timeout the same grid exits 0 with no failed
+// record.
+func TestRecordOutputsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the experiments binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	path := func(name string) string { return filepath.Join(dir, name) }
+	run := func(args ...string) int {
+		cmd := exec.Command(bin, append([]string{"-only", "T3", "-scale", "0.02"}, args...)...)
+		var out bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &out
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return exit.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%v\n%s", err, out.String())
+		}
+		return 0
+	}
+
+	if code := run("-keep-going", "-run-timeout", "1ns", "-metrics", path("m.jsonl"),
+		"-spans", path("s.json"), "-manifest", path("f.json")); code != 1 {
+		t.Fatalf("timed-out grid: exit %d, want 1", code)
+	}
+	recs := readRecords(t, path("m.jsonl"))
+	byID := map[string][]record{}
+	for _, r := range recs {
+		if _, err := strconv.ParseUint(r.ID, 16, 64); err != nil || len(r.ID) != 16 {
+			t.Fatalf("record id %q is not 16 hex digits", r.ID)
+		}
+		byID[r.ID] = append(byID[r.ID], r)
+	}
+
+	var manifest struct {
+		RunsFailed []record `json:"runs_failed"`
+	}
+	readJSON(t, path("f.json"), &manifest)
+	if len(manifest.RunsFailed) == 0 {
+		t.Fatal("manifest lists no failed run")
+	}
+	for _, f := range manifest.RunsFailed {
+		found := false
+		for _, r := range byID[f.ID] {
+			found = found || (r.State == "timeout" && r.Attempts == f.Attempts && r.Workload == f.Workload)
+		}
+		if !found {
+			t.Fatalf("failed run %+v has no timeout record in the metrics: %+v", f, byID[f.ID])
+		}
+	}
+
+	var trace struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Args struct {
+				ID      string `json:"id"`
+				State   string `json:"state"`
+				Attempt int    `json:"attempt"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	readJSON(t, path("s.json"), &trace)
+	slices := map[string]bool{}
+	for _, e := range trace.TraceEvents {
+		if e.Ph == "X" {
+			slices[fmt.Sprintf("%s/%d/%s", e.Args.ID, e.Args.Attempt, e.Args.State)] = true
+		}
+	}
+	for _, r := range recs {
+		want := []string{"memo-hit"}
+		if r.State != "memo-hit" {
+			want = []string{"queued", r.State}
+			if r.Attempts > 1 {
+				want[0] = "retry"
+			}
+		}
+		for _, state := range want {
+			if key := fmt.Sprintf("%s/%d/%s", r.ID, r.Attempts, state); !slices[key] {
+				t.Fatalf("record %+v has no %q slice in the spans trace", r, state)
+			}
+		}
+	}
+
+	if code := run("-metrics", path("ok.jsonl")); code != 0 {
+		t.Fatalf("grid without a timeout: exit %d, want 0", code)
+	}
+	done := 0
+	for _, r := range readRecords(t, path("ok.jsonl")) {
+		switch r.State {
+		case "done":
+			done++
+		case "memo-hit":
+		default:
+			t.Fatalf("record %+v in a run that should not fail", r)
+		}
+	}
+	if done == 0 {
+		t.Fatal("no done record")
+	}
+}
+
+func readRecords(t *testing.T, path string) []record {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var recs []record
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var r record
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		recs = append(recs, r)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatalf("%s holds no record", path)
+	}
+	return recs
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+}

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"ccnuma/internal/core"
@@ -37,6 +38,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if *trigger > math.MaxUint16 {
+		// The policy counters are 16-bit; a wider value must not wrap into a
+		// different threshold (numasim rejects it the same way).
+		fatal(fmt.Errorf("-trigger %d out of range (maximum %d)", *trigger, math.MaxUint16))
+	}
 	if *nodes < 1 || *nodes > tracesim.MaxNodes {
 		fatal(fmt.Errorf("-nodes %d out of range [1, %d]", *nodes, tracesim.MaxNodes))
 	}

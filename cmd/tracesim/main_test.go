@@ -13,19 +13,56 @@ import (
 	"ccnuma/internal/trace"
 )
 
+// buildTracesim builds the command into a temporary directory.
+func buildTracesim(t *testing.T) (dir, bin string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds the tracesim binary")
+	}
+	dir = t.TempDir()
+	bin = filepath.Join(dir, "tracesim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return dir, bin
+}
+
+// runBin runs bin and returns its output streams and exit code.
+func runBin(t *testing.T, bin string, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// TestTriggerOutOfRangeRejected: the policy counters are 16-bit, so a
+// -trigger above 65535 must exit 1 naming the flag instead of wrapping into
+// a small threshold (65537 once ran as trigger 1).
+func TestTriggerOutOfRangeRejected(t *testing.T) {
+	_, bin := buildTracesim(t)
+	stdout, stderr, code := runBin(t, bin, "-workload", "engineering", "-scale", "0.02", "-trigger", "65537")
+	if code != 1 || stdout != "" {
+		t.Fatalf("-trigger 65537: exit %d, stdout %q; want exit 1 and no comparison", code, stdout)
+	}
+	if !strings.Contains(stderr, "-trigger 65537 out of range (maximum 65535)") {
+		t.Fatalf("-trigger 65537: stderr %q does not name the flag and its bound", stderr)
+	}
+}
+
 // TestInRejectsForeignCPU runs the built binary on a two-record trace whose
 // second record names CPU 200: on an 8-node machine it must exit 1 with an
 // error naming the CPU instead of printing a policy comparison, while the
 // same trace with the CPU in range still runs.
 func TestInRejectsForeignCPU(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tracesim binary")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "tracesim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	dir, bin := buildTracesim(t)
 	write := func(name string, cpu mem.CPUID) string {
 		tr := &trace.Trace{}
 		tr.Append(trace.Record{At: 1, Page: 3, CPU: 1, Kind: mem.DataRead})
@@ -40,19 +77,7 @@ func TestInRejectsForeignCPU(t *testing.T) {
 		}
 		return path
 	}
-	run := func(args ...string) (stdout, stderr string, code int) {
-		cmd := exec.Command(bin, args...)
-		var out, errOut bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &out, &errOut
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if errors.As(err, &exit) {
-			code = exit.ExitCode()
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		return out.String(), errOut.String(), code
-	}
+	run := func(args ...string) (string, string, int) { return runBin(t, bin, args...) }
 
 	stdout, stderr, code := run("-in", write("foreign.trc", 200), "-nodes", "8")
 	if code != 1 || stdout != "" {

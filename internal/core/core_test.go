@@ -204,7 +204,7 @@ func s2() *workload.Spec {
 }
 
 func TestMetricTLBDriven(t *testing.T) {
-	res, err := Run(tinySpec(workload.SchedPinned, 100000), Options{Seed: 1, Dynamic: true, Metric: FullTLB})
+	res, err := Run(tinySpec(workload.SchedPinned, 100000), Options{Seed: 1, Dynamic: true, Metric: policy.FullTLB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestMetricTLBDriven(t *testing.T) {
 
 func TestSampledMetricCountsTenth(t *testing.T) {
 	full, _ := Run(tinySpec(workload.SchedPinned, 100000), Options{Seed: 1, Dynamic: true})
-	smp, _ := Run(tinySpec(workload.SchedPinned, 100000), Options{Seed: 1, Dynamic: true, Metric: SampledCache})
+	smp, _ := Run(tinySpec(workload.SchedPinned, 100000), Options{Seed: 1, Dynamic: true, Metric: policy.SampledCache})
 	ratio := float64(smp.Counters.Counted) / float64(smp.Counters.Recorded)
 	if ratio < 0.09 || ratio > 0.11 {
 		t.Fatalf("sampled ratio = %v, want ~0.1", ratio)

@@ -27,11 +27,10 @@ func TestFingerprintDistinguishesEveryOptionField(t *testing.T) {
 		"dynamic":        func(o *Options) { o.Dynamic = false },
 		"config":         func(o *Options) { o.Config = topology.CCNOW() },
 		"round-robin":    func(o *Options) { o.RoundRobin = true },
-		"metric":         func(o *Options) { o.Metric = SampledCache },
+		"metric":         func(o *Options) { o.Metric = policy.SampledCache },
 		"seed":           func(o *Options) { o.Seed++ },
 		"duration":       func(o *Options) { o.Duration = sim.Second },
 		"collect-trace":  func(o *Options) { o.CollectTrace = true },
-		"quantum":        func(o *Options) { o.Quantum = sim.Millisecond },
 		"code-ft":        func(o *Options) { o.ReplicateCodeOnFirstTouch = true },
 		"adaptive":       func(o *Options) { o.AdaptiveTrigger = true },
 		"reclaim":        func(o *Options) { o.ReclaimColdReplicas = true },
@@ -89,6 +88,15 @@ func retiredKnobAbsent(t *testing.T, field string) {
 // reach Options or split a memo key.
 func TestShardsAbsentFromFingerprint(t *testing.T) {
 	retiredKnobAbsent(t, "Shards")
+}
+
+// TestPlacementAndQuantumAbsentFromFingerprint pins two knobs no caller set:
+// the placer is chosen by RoundRobin (a function value would format as a
+// code address, stable only within one process), and the scheduling quantum
+// is a constant of the engine.
+func TestPlacementAndQuantumAbsentFromFingerprint(t *testing.T) {
+	retiredKnobAbsent(t, "Placement")
+	retiredKnobAbsent(t, "Quantum")
 }
 
 // TestWorkersAbsentFromFingerprint pins the same for the per-run worker

@@ -22,48 +22,6 @@ import (
 	"ccnuma/internal/trace"
 )
 
-// Metric selects the information source that drives the policy's counters
-// (Section 8.3).
-type Metric int
-
-const (
-	// FullCache counts every second-level cache miss (FLASH hardware).
-	FullCache Metric = iota
-	// SampledCache counts one cache miss in ten.
-	SampledCache
-	// FullTLB counts every TLB miss (software-reloaded TLBs).
-	FullTLB
-	// SampledTLB counts one TLB miss in ten.
-	SampledTLB
-)
-
-// String names the metric as in Figure 8.
-func (m Metric) String() string {
-	switch m {
-	case FullCache:
-		return "FC"
-	case SampledCache:
-		return "SC"
-	case FullTLB:
-		return "FT"
-	case SampledTLB:
-		return "ST"
-	default:
-		return "?"
-	}
-}
-
-// CacheDriven reports whether the metric counts cache misses.
-func (m Metric) CacheDriven() bool { return m == FullCache || m == SampledCache }
-
-// SampleRate returns the counting sample rate for the metric.
-func (m Metric) SampleRate() int {
-	if m == SampledCache || m == SampledTLB {
-		return 10
-	}
-	return 1
-}
-
 // Options configure a full-system run.
 type Options struct {
 	// Config is the machine; zero value selects the CC-NUMA preset. The
@@ -75,14 +33,11 @@ type Options struct {
 	// Params are the policy parameters for dynamic runs. A zero Trigger is
 	// replaced by the workload's per-paper trigger threshold.
 	Params policy.Params
-	// Placement is the static placement: vm.FirstTouch (default) or
-	// vm.RoundRobin.
-	Placement vm.Placer
-	// RoundRobin selects round-robin placement (convenience; overrides
-	// Placement).
+	// RoundRobin selects round-robin static placement (vm.RoundRobin);
+	// otherwise pages are placed on first touch (vm.FirstTouch).
 	RoundRobin bool
 	// Metric is the information source for the counters.
-	Metric Metric
+	Metric policy.Metric
 	// Seed makes runs reproducible.
 	Seed uint64
 	// Duration overrides the workload's default run length.
@@ -100,8 +55,6 @@ type Options struct {
 	// DebugChecks validates accounting and kernel-state invariants
 	// (stats.Breakdown.CheckInvariants, allocator, VM) on every sampler tick.
 	DebugChecks bool
-	// Quantum is the scheduling time slice (default 5 ms).
-	Quantum sim.Time
 	// ReplicateCodeOnFirstTouch enables the space-overhead ablation of
 	// Section 7.2.3: every code page is replicated to a node on the node's
 	// first touch instead of waiting for the policy.
@@ -130,9 +83,7 @@ type Options struct {
 // distinguishes any two simulations that could produce different results.
 // Memo caches (internal/report) key on it, so it must cover the full
 // struct: %+v recurses into Config and Params and picks up new fields
-// automatically. Placement is a function value and formats as its code
-// address — stable within a process, which is all an in-process memo needs
-// (two distinct placer values conservatively get distinct keys).
+// automatically.
 func (o Options) Fingerprint() string {
 	// The event sink observes without changing results, and its pointer
 	// would otherwise make every attempt's key unique, so it is erased.
@@ -150,12 +101,6 @@ func (o Options) withDefaults(spec specLike) (Options, error) {
 	if spec.memoryPerNode() > 0 {
 		o.Config.MemoryPerNode = spec.memoryPerNode()
 	}
-	if o.Placement == nil {
-		o.Placement = vm.FirstTouch
-	}
-	if o.RoundRobin {
-		o.Placement = vm.RoundRobin(o.Config.Nodes)
-	}
 	if o.Dynamic {
 		if o.Params.Trigger == 0 {
 			o.Params = policy.Base().WithTrigger(spec.trigger())
@@ -164,9 +109,6 @@ func (o Options) withDefaults(spec specLike) (Options, error) {
 		if err := o.Params.Validate(); err != nil {
 			return o, err
 		}
-	}
-	if o.Quantum <= 0 {
-		o.Quantum = 5 * sim.Millisecond
 	}
 	if o.Duration <= 0 {
 		o.Duration = spec.duration()

@@ -73,7 +73,7 @@ func (s *System) step(c *cpuState, now sim.Time) {
 		c.cur = s.procs[next.ID]
 		c.bd.Compute[stats.Kernel] += ctxSwitch
 		t += ctxSwitch
-		c.quantum = t + s.opt.Quantum
+		c.quantum = t + quantum
 	}
 	p := c.cur
 	if p.spec.ExitAt > 0 && t >= p.spec.ExitAt {

@@ -27,6 +27,9 @@ const idleTick = 100 * sim.Microsecond
 // ctxSwitch is the kernel cost of a context switch.
 const ctxSwitch = 15 * sim.Microsecond
 
+// quantum is the scheduling time slice.
+const quantum = 5 * sim.Millisecond
+
 // sliceMax bounds the virtual time one CPU advances per event, so resource
 // contention across CPUs interleaves at fine grain.
 const sliceMax = 20 * sim.Microsecond
@@ -159,7 +162,11 @@ func NewSystem(spec *workload.Spec, opt Options) (*System, error) {
 	}
 	s.val = cache.NewValidity(spec.Pages, cfg.Nodes)
 	s.allocs = alloc.New(cfg.Nodes, cfg.FramesPerNode())
-	s.vmm = vm.New(spec.Pages, cfg.Nodes, s.allocs, s.val, opt.Placement)
+	place := vm.FirstTouch
+	if opt.RoundRobin {
+		place = vm.RoundRobin(cfg.Nodes)
+	}
+	s.vmm = vm.New(spec.Pages, cfg.Nodes, s.allocs, s.val, place)
 	s.vmm.Locate = func(pid mem.ProcID) mem.NodeID {
 		if int(pid) < len(s.procs) && s.procs[pid] != nil {
 			return cfg.NodeOf(s.procs[pid].sp.LastCPU)

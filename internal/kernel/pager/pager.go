@@ -167,7 +167,7 @@ func (pg *Pager) HandleBatch(now sim.Time, cpu mem.CPUID, batch []directory.HotR
 	if len(batch) == 0 {
 		return 0
 	}
-	k := pg.cfg.Kernel
+	k := &pg.cfg.Kernel
 
 	// Kernel-overhead budget: while the pager's accumulated share of this
 	// CPU's time exceeds the budget, the whole batch is shed at
@@ -302,7 +302,7 @@ func (pg *Pager) HandleBatch(now sim.Time, cpu mem.CPUID, batch []directory.HotR
 // re-evaluates against current counters; a page that moved or cooled since
 // the failure resolves as a cheap no-op).
 func (pg *Pager) handleRef(h directory.HotRef, def *deferredOp, t, intrShare sim.Time, bd *stats.Breakdown) sim.Time {
-	k := pg.cfg.Kernel
+	k := &pg.cfg.Kernel
 	op := pg.acquireOp()
 	op.ref, op.latency = h, intrShare
 
@@ -604,7 +604,7 @@ func (pg *Pager) collapseTarget(cpu mem.CPUID, p mem.GPage) mem.NodeID {
 // flushed, and the write is allowed to proceed. It returns the handler time
 // charged to the faulting CPU.
 func (pg *Pager) CollapseWrite(now sim.Time, cpu mem.CPUID, page mem.GPage, bd *stats.Breakdown) sim.Time {
-	k := pg.cfg.Kernel
+	k := &pg.cfg.Kernel
 	t := now
 
 	wait := pg.locks.PageLock(uint32(page)).Acquire(t, k.PageLockHold)
@@ -670,7 +670,7 @@ func (pg *Pager) adaptTrigger() {
 // sharers went quiet, so the copies only cost memory. Called at the reset
 // boundary, before counters clear. Returns the kernel time consumed.
 func (pg *Pager) ReclaimColdReplicas(now sim.Time, cpu mem.CPUID, bd *stats.Breakdown) sim.Time {
-	k := pg.cfg.Kernel
+	k := &pg.cfg.Kernel
 	t := now
 	pages := pg.reclaimBuf[:0]
 	for p := 0; p < pg.vm.Pages(); p++ {
@@ -729,7 +729,7 @@ func (pg *Pager) ReclaimColdReplicas(now sim.Time, cpu mem.CPUID, bd *stats.Brea
 // The caller must have taken the node offline in the allocator first, so no
 // new replica lands on the node between the sweep and the flush.
 func (pg *Pager) DrainNode(now sim.Time, cpu mem.CPUID, node mem.NodeID, bd *stats.Breakdown) (sim.Time, int) {
-	k := pg.cfg.Kernel
+	k := &pg.cfg.Kernel
 	t := now
 	pages := pg.reclaimBuf[:0]
 	for {

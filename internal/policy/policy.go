@@ -368,3 +368,45 @@ func (s ActionStats) Percent() (mig, rep, none, nopage float64) {
 		100 * float64(s.NoAction+s.Remaps) / t,
 		100 * float64(s.NoPage) / t
 }
+
+// Metric selects the information source that drives the policy's counters
+// (Section 8.3), in the full-system runs and the trace simulator alike.
+type Metric int
+
+const (
+	// FullCache counts every second-level cache miss (FLASH hardware).
+	FullCache Metric = iota
+	// SampledCache counts one cache miss in ten.
+	SampledCache
+	// FullTLB counts every TLB miss (software-reloaded TLBs).
+	FullTLB
+	// SampledTLB counts one TLB miss in ten.
+	SampledTLB
+)
+
+// String names the metric as in Figure 8.
+func (m Metric) String() string {
+	switch m {
+	case FullCache:
+		return "FC"
+	case SampledCache:
+		return "SC"
+	case FullTLB:
+		return "FT"
+	case SampledTLB:
+		return "ST"
+	default:
+		return "?"
+	}
+}
+
+// CacheDriven reports whether the metric counts cache misses.
+func (m Metric) CacheDriven() bool { return m == FullCache || m == SampledCache }
+
+// SampleRate returns the counting sample rate for the metric.
+func (m Metric) SampleRate() int {
+	if m == SampledCache || m == SampledTLB {
+		return 10
+	}
+	return 1
+}

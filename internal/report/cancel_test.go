@@ -51,7 +51,7 @@ func TestHarnessTimeoutStopsSimulation(t *testing.T) {
 	}
 	waitForGoroutines(t, base)
 
-	failures := h.Failures()
+	failures := FailedRuns(h.Records())
 	if len(failures) != 1 || !failures[0].TimedOut {
 		t.Fatalf("failures = %+v, want one timed-out record", failures)
 	}
@@ -82,7 +82,7 @@ func TestHarnessRunContextCancel(t *testing.T) {
 	}
 	waitForGoroutines(t, base)
 
-	failures := h.Failures()
+	failures := FailedRuns(h.Records())
 	if len(failures) != 1 {
 		t.Fatalf("failures = %d, want 1", len(failures))
 	}
@@ -94,8 +94,9 @@ func TestHarnessRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestExecuteSuccess: the memo-free entry point returns a normal result and
-// accumulates no per-request state on the harness.
+// TestExecuteSuccess: the memo-free entry point returns a normal result with
+// its done record, and repeated calls accumulate no per-request state on the
+// harness.
 func TestExecuteSuccess(t *testing.T) {
 	h := NewHarness(0.05, 1)
 	build := func() *workload.Spec {
@@ -105,16 +106,16 @@ func TestExecuteSuccess(t *testing.T) {
 		}
 		return b(0.05, 1)
 	}
-	res, fail, err := h.Execute(context.Background(), "engineering",
+	res, last, err := h.Execute(context.Background(), "engineering",
 		build, core.Options{Seed: 1, Duration: 5 * sim.Millisecond})
-	if err != nil || fail != nil {
-		t.Fatalf("Execute failed: %v / %+v", err, fail)
+	if err != nil || last.State != StateDone {
+		t.Fatalf("Execute failed: %v / %+v", err, last)
 	}
 	if res == nil || res.Elapsed <= 0 {
 		t.Fatalf("Execute produced no measurements: %+v", res)
 	}
-	if len(h.Failures()) != 0 || len(h.Metrics()) != 0 {
-		t.Fatal("Execute grew the harness's accumulating state")
+	if last.Elapsed != res.Elapsed || last.Attempts != 1 || len(last.ID) != 16 {
+		t.Fatalf("Execute's record does not describe its result: %+v", last)
 	}
 	// Identical options must produce a fresh simulation (caching is the
 	// caller's policy), so two Executes both count as executed.
@@ -125,10 +126,13 @@ func TestExecuteSuccess(t *testing.T) {
 	if executed, _ := h.Counters(); executed != 2 {
 		t.Fatalf("executed = %d, want 2 (Execute never memoizes)", executed)
 	}
+	if recs := h.Records(); len(recs) != 0 {
+		t.Fatalf("Execute grew the harness's records: %+v", recs)
+	}
 }
 
-// TestExecuteFailureManifest: a panicking run comes back as a RunFailure with
-// the flight-recorder dump attached, returned to the caller instead of
+// TestExecuteFailureManifest: a panicking run comes back as a failed Record
+// with the flight-recorder dump attached, returned to the caller instead of
 // appended to the harness (a server's Harness lives forever).
 func TestExecuteFailureManifest(t *testing.T) {
 	h := NewHarness(0.05, 1)
@@ -140,7 +144,7 @@ func TestExecuteFailureManifest(t *testing.T) {
 	}
 	res, fail, err := h.Execute(context.Background(), "what-if-17",
 		build, core.Options{Seed: 9, Dynamic: true, Duration: 5 * sim.Millisecond})
-	if err == nil || fail == nil || res != nil {
+	if err == nil || fail.State != StateFailed || res != nil {
 		t.Fatalf("Execute did not fail: res=%v fail=%v err=%v", res, fail, err)
 	}
 	if fail.Workload != "what-if-17" || !strings.Contains(fail.Error, "injected server-side failure") {
@@ -149,15 +153,15 @@ func TestExecuteFailureManifest(t *testing.T) {
 	if fail.Fingerprint == "" || !strings.Contains(fail.Fingerprint, "Dynamic:true") {
 		t.Fatalf("fingerprint does not identify the options: %q", fail.Fingerprint)
 	}
-	if len(h.Failures()) != 0 {
-		t.Fatal("Execute appended to the harness failure list")
+	if len(h.Records()) != 0 {
+		t.Fatal("Execute appended to the harness's records")
 	}
 	// Cancelled contexts surface as errors.Is-checkable causes.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	h.PreRun = nil
 	_, fail2, err2 := h.Execute(ctx, "what-if-18", build, core.Options{Seed: 9})
-	if !errors.Is(err2, context.Canceled) || fail2 == nil {
+	if !errors.Is(err2, context.Canceled) || fail2.State != StateFailed {
 		t.Fatalf("pre-cancelled Execute: err=%v fail=%+v", err2, fail2)
 	}
 }
@@ -188,7 +192,7 @@ func TestExecuteSinkAndRecorderTeed(t *testing.T) {
 		Seed: 9, Duration: 5 * sim.Millisecond,
 		EventSink: func(e obs.Event) { streamed = append(streamed, e) },
 	})
-	if err == nil || fail == nil {
+	if err == nil {
 		t.Fatalf("Execute did not fail: fail=%v err=%v", fail, err)
 	}
 	if len(streamed) != emitted {

@@ -6,6 +6,7 @@ import (
 
 	"ccnuma/internal/core"
 	"ccnuma/internal/directory"
+	"ccnuma/internal/policy"
 	"ccnuma/internal/sim"
 	"ccnuma/internal/stats"
 	"ccnuma/internal/topology"
@@ -295,7 +296,7 @@ func spaceOverhead(h *Harness) string {
 	var b strings.Builder
 	h.warm(
 		func() { h.MigRep("engineering") },
-		func() { h.Run("engineering", core.Options{Dynamic: true, Metric: core.SampledCache}) },
+		func() { h.Run("engineering", core.Options{Dynamic: true, Metric: policy.SampledCache}) },
 	)
 	row(&b, "configuration", "overhead", "(paper)")
 	row(&b, "8 nodes, 1B ctrs", pct(100*directory.SpaceOverhead(8, 1)), "0.2%")
@@ -304,7 +305,7 @@ func spaceOverhead(h *Harness) string {
 	mr := h.MigRep("engineering")
 	fmt.Fprintf(&b, "\nsampling: %d of %d misses counted (rate 1, full info run);\n",
 		mr.Counters.Counted, mr.Counters.Recorded)
-	sc := h.Run("engineering", core.Options{Dynamic: true, Metric: core.SampledCache})
+	sc := h.Run("engineering", core.Options{Dynamic: true, Metric: policy.SampledCache})
 	fmt.Fprintf(&b, "sampled-cache run counted %d of %d (1:10).\n", sc.Counters.Counted, sc.Counters.Recorded)
 	return b.String()
 }
@@ -435,8 +436,8 @@ func figure7(h *Harness) string {
 
 func figure8(h *Harness) string {
 	var b strings.Builder
-	metrics := []tracesim.Metric{tracesim.FullCache, tracesim.SampledCache,
-		tracesim.FullTLB, tracesim.SampledTLB}
+	metrics := []policy.Metric{policy.FullCache, policy.SampledCache,
+		policy.FullTLB, policy.SampledTLB}
 	// Variant 0 is the round-robin baseline; 1..4 run Mig/Rep under each
 	// Figure-8 information source.
 	grid := simGrid(h, fig3Workloads, 1+len(metrics), (*trace.Trace).UserOnly,

@@ -48,7 +48,7 @@ func TestHarnessPanicIsolation(t *testing.T) {
 			t.Fatalf("healthy run %d caught the poisoned run's failure: %+v", i, results[i])
 		}
 	}
-	failures := h.Failures()
+	failures := FailedRuns(h.Records())
 	if len(failures) != 1 {
 		t.Fatalf("failures = %d, want 1", len(failures))
 	}
@@ -83,8 +83,8 @@ func TestHarnessRetriesTransientFailure(t *testing.T) {
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("attempts = %d, want 3", got)
 	}
-	if len(h.Failures()) != 0 {
-		t.Fatalf("failures recorded for a run that recovered: %+v", h.Failures())
+	if len(FailedRuns(h.Records())) != 0 {
+		t.Fatalf("failures recorded for a run that recovered: %+v", FailedRuns(h.Records()))
 	}
 }
 
@@ -110,7 +110,7 @@ func TestHarnessRunTimeout(t *testing.T) {
 	if !res.Failed {
 		t.Fatal("timed-out run did not return the failure placeholder")
 	}
-	failures := h.Failures()
+	failures := FailedRuns(h.Records())
 	if len(failures) != 1 || !failures[0].TimedOut {
 		t.Fatalf("failures = %+v, want one timed-out record", failures)
 	}
@@ -167,14 +167,14 @@ func TestHarnessFailureHammer(t *testing.T) {
 	if executed < uint64(len(durations)) {
 		t.Fatalf("executed = %d, want at least one per key (%d)", executed, len(durations))
 	}
-	maxExec := uint64(len(durations)) + uint64(len(h.Failures()))
+	maxExec := uint64(len(durations)) + uint64(len(FailedRuns(h.Records())))
 	if executed > maxExec {
 		t.Fatalf("executed = %d, want <= keys + failures = %d", executed, maxExec)
 	}
 	// Each failed execution hands its placeholder to at least its owner (plus
 	// any callers that had already joined the in-flight run).
-	if failed.Load() < int64(len(h.Failures())) {
-		t.Fatalf("failed reads %d < failure records %d", failed.Load(), len(h.Failures()))
+	if failed.Load() < int64(len(FailedRuns(h.Records()))) {
+		t.Fatalf("failed reads %d < failure records %d", failed.Load(), len(FailedRuns(h.Records())))
 	}
 }
 
@@ -198,8 +198,8 @@ func TestHarnessFailureEvictedFromMemo(t *testing.T) {
 	if !first.Failed {
 		t.Fatal("first run did not fail as injected")
 	}
-	if len(h.Failures()) != 1 {
-		t.Fatalf("failures = %d, want 1", len(h.Failures()))
+	if len(FailedRuns(h.Records())) != 1 {
+		t.Fatalf("failures = %d, want 1", len(FailedRuns(h.Records())))
 	}
 
 	second := h.Run("engineering", opt)

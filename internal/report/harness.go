@@ -40,10 +40,10 @@ type Harness struct {
 	// Workers bounds how many simulations the sweep helpers (runner.go) run
 	// concurrently; 0 or 1 runs every sweep serially in its loop order.
 	Workers int
-	// Logf, when set, receives progress lines: each simulation's start and
-	// finish (with wall-clock timing) and each memo hit. Called from worker
-	// goroutines; the sink must be safe for concurrent use (fmt.Fprintf to
-	// one *os.File is).
+	// Logf, when set, receives one progress line per record (Record.String):
+	// each attempt's end, with its wall-clock time, and each memo hit.
+	// Called from worker goroutines; the sink must be safe for concurrent use
+	// (fmt.Fprintf to one *os.File is).
 	Logf func(format string, args ...any)
 	// Retries is how many times a failed simulation (panic, error, or
 	// timeout) is re-attempted before it counts as failed.
@@ -59,31 +59,23 @@ type Harness struct {
 	// abandoned to burn CPU to its virtual deadline.
 	RunTimeout time.Duration
 	// KeepGoing turns a run's final failure into a placeholder Result
-	// (Failed=true) plus a RunFailure record instead of a panic, so the rest
-	// of a grid still completes. Off, the first failure panics with the
-	// run's options fingerprint.
+	// (Failed=true) instead of a panic, so the rest of a grid still
+	// completes; the failure stays in Records. Off, the first failure panics
+	// with the run's options fingerprint.
 	KeepGoing bool
-	// CollectSpans records the wall-clock span timeline (spans.go):
-	// queued/running/retry/memo-hit/failure intervals per run, exported as
-	// Chrome trace JSON by cmd/experiments -spans.
-	CollectSpans bool
 	// RecorderDepth, when positive, arms a failure flight recorder per
 	// attempt: a bounded ring over the run's last RecorderDepth typed obs
-	// events, dumped into the RunFailure manifest when the run fails — a
-	// postmortem without re-running under full -events collection.
+	// events, dumped into a failed attempt's Record — a postmortem without
+	// re-running under full -events collection.
 	RecorderDepth int
 	// PreRun, when set, is called before each simulation attempt, inside the
 	// recovery scope (test hook: failure injection and attempt counting).
 	PreRun func(wl string, opt core.Options)
 
-	mu        sync.Mutex
-	runs      map[string]*runEntry
-	traces    map[string]*trace.Trace
-	metrics   []RunMetric
-	failures  []RunFailure
-	spanEpoch time.Time
-	spans     []Span
-	slots     []bool
+	epoch   time.Time // the zero of every Record's wall_* fields
+	mu      sync.Mutex
+	runs    map[string]*runEntry
+	records []Record
 
 	executed atomic.Uint64 // simulations actually run
 	memoHits atomic.Uint64 // calls served by the memo (or a shared in-flight run)
@@ -102,10 +94,10 @@ func NewHarness(scale float64, seed uint64) *Harness {
 		scale = 1.0
 	}
 	return &Harness{
-		Scale:  scale,
-		Seed:   seed,
-		runs:   map[string]*runEntry{},
-		traces: map[string]*trace.Trace{},
+		Scale: scale,
+		Seed:  seed,
+		epoch: time.Now(),
+		runs:  map[string]*runEntry{},
 	}
 }
 
@@ -115,84 +107,49 @@ func (h *Harness) Counters() (executed, memoHits uint64) {
 	return h.executed.Load(), h.memoHits.Load()
 }
 
-// RunMetric summarises one executed simulation for the harness's per-run
-// metrics dump.
-type RunMetric struct {
-	// ID is the FNV-1a hash of the memo key, matching the id in Logf lines.
-	ID       uint64        `json:"id"`
-	Workload string        `json:"workload"`
-	Policy   string        `json:"policy"`
-	Elapsed  sim.Time      `json:"elapsed_ns"`
-	NonIdle  sim.Time      `json:"nonidle_ns"`
-	Steps    uint64        `json:"steps"`
-	Events   uint64        `json:"events"`
-	Wall     time.Duration `json:"wall_ns"`
-}
-
-// Metrics returns one RunMetric per executed simulation, sorted by workload
-// then key hash — a deterministic order regardless of worker interleaving.
-func (h *Harness) Metrics() []RunMetric {
+// Records returns every record of the runs made through Run, sorted by
+// workload, then id, then start time: each run's attempts and memo hits
+// together, in the order they happened.
+func (h *Harness) Records() []Record {
 	h.mu.Lock()
-	out := make([]RunMetric, len(h.metrics))
-	copy(out, h.metrics)
+	out := make([]Record, len(h.records))
+	copy(out, h.records)
 	h.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Workload != out[j].Workload {
-			return out[i].Workload < out[j].Workload
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		if a.Workload != b.Workload {
+			return a.Workload < b.Workload
 		}
-		return out[i].ID < out[j].ID
+		if a.ID != b.ID {
+			return a.ID < b.ID
+		}
+		return a.WallStart < b.WallStart
 	})
 	return out
 }
 
-// RunFailure records one simulation that failed all its attempts. The
-// harness's failure manifest (cmd/experiments -keep-going) serialises these.
-type RunFailure struct {
-	Workload string `json:"workload"`
-	// ID is the run's memo-key hash, matching Logf lines ("%016x").
-	ID string `json:"id"`
-	// Fingerprint is the full core.Options fingerprint of the failing run —
-	// enough to rebuild and replay it.
-	Fingerprint string `json:"fingerprint"`
-	Error       string `json:"error"`
-	Attempts    int    `json:"attempts"`
-	TimedOut    bool   `json:"timed_out"`
-	// Events is the failure flight recorder's dump: the last RecorderDepth
-	// typed events before the failure, oldest first. Empty unless
-	// Harness.RecorderDepth was set.
-	Events []obs.Event `json:"events,omitempty"`
-	// EventsDropped is the dump's truncation marker: how many events fell
-	// off the bounded ring before it (0 = Events is the complete history).
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
-}
+// since returns the wall time since NewHarness.
+func (h *Harness) since() time.Duration { return time.Since(h.epoch) }
 
-// Failures returns the runs that failed all attempts, sorted by workload
-// then id (deterministic regardless of worker interleaving).
-func (h *Harness) Failures() []RunFailure {
-	h.mu.Lock()
-	out := make([]RunFailure, len(h.failures))
-	copy(out, h.failures)
-	h.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Workload != out[j].Workload {
-			return out[i].Workload < out[j].Workload
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-func (h *Harness) logf(format string, args ...any) {
+// record hands one record to its outputs: the Logf line, and for a run
+// through the memo (keep) the harness's records. Execute's records are only
+// logged, so a long-lived server's harness grows nothing.
+func (h *Harness) record(r Record, keep bool) {
 	if h.Logf != nil {
-		h.Logf(format, args...)
+		h.Logf("%s", r)
+	}
+	if keep {
+		h.mu.Lock()
+		h.records = append(h.records, r)
+		h.mu.Unlock()
 	}
 }
 
-// keyID hashes a memo key to the short id used in logs and metrics.
-func keyID(key string) uint64 {
+// keyID hashes a memo key to the id every record carries ("%016x").
+func keyID(key string) string {
 	f := fnv.New64a()
 	f.Write([]byte(key))
-	return f.Sum64()
+	return fmt.Sprintf("%016x", f.Sum64())
 }
 
 // Spec returns the (fresh) workload spec. Specs hold generator state, so a
@@ -223,29 +180,24 @@ func (h *Harness) Run(wl string, opt core.Options) *core.Result {
 
 // RunContext is Run under a caller-supplied context: cancellation or a
 // deadline propagates into the simulation's engine loop, so an abandoned
-// query stops simulating instead of running to its virtual deadline. A
-// cancelled owner still releases memo waiters (with the failure placeholder
-// under KeepGoing); the failed key is evicted, so a later caller re-runs it.
+// query stops simulating instead of running to its virtual deadline. It is
+// the memo around attempt: a cancelled owner still releases memo waiters
+// (with the failure placeholder under KeepGoing); the failed key is
+// evicted, so a later caller re-runs it.
 func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *core.Result {
 	opt.Seed = h.Seed
 	key := runKey(wl, opt)
-
-	id := fmt.Sprintf("%016x", keyID(key))
-	var enter time.Duration
-	if h.CollectSpans {
-		enter = h.sinceStart()
-	}
+	id := keyID(key)
+	enter := h.since()
 
 	h.mu.Lock()
 	if e, ok := h.runs[key]; ok {
 		h.mu.Unlock()
 		<-e.done
 		h.memoHits.Add(1)
-		h.logf("memo  %s id=%016x", wl, keyID(key))
-		if h.CollectSpans {
-			h.addSpan(Span{Workload: wl, ID: id, State: SpanMemoHit, Slot: -1,
-				Start: enter, End: h.sinceStart()})
-		}
+		r := Record{ID: id, Workload: wl, State: StateMemoHit, WallStart: enter, WallEnd: h.since()}
+		r.measure(e.res)
+		h.record(r, true)
 		return e.res
 	}
 	e := &runEntry{done: make(chan struct{})}
@@ -256,92 +208,60 @@ func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *
 	// going down, but blocked goroutines should not obscure the original
 	// panic).
 	defer close(e.done)
-	h.executed.Add(1)
-	h.logf("start %s id=%016x", wl, keyID(key))
-	slot := -1
-	if h.CollectSpans {
-		slot = h.acquireSlot()
-		defer h.releaseSlot(slot)
-		h.addSpan(Span{Workload: wl, ID: id, State: SpanQueued, Slot: slot,
-			Start: enter, End: h.sinceStart()})
-	}
-	t0 := time.Now()
-	res, fail, err := h.attempt(ctx, wl, id, slot,
-		func() *workload.Spec { return h.spec(wl) }, opt)
+	res, last, err := h.attempt(ctx, wl, id, enter,
+		func() *workload.Spec { return h.spec(wl) }, opt, true)
 	if err != nil {
-		h.mu.Lock()
 		// Evict the memo slot: the placeholder below answers callers already
 		// blocked on this entry, but a later call for the same key must get a
 		// fresh simulation, not a cached Failed result. (Leaving the entry in
 		// place once poisoned the memo — every -keep-going re-query of a run
 		// that had failed transiently returned the placeholder forever.)
+		h.mu.Lock()
 		delete(h.runs, key)
-		h.failures = append(h.failures, *fail)
 		h.mu.Unlock()
 		if !h.KeepGoing {
 			panic(fmt.Sprintf("report: run %s id=%s failed after %d attempt(s): %v (options: %s)",
-				wl, id, fail.Attempts, err, fail.Fingerprint))
+				wl, id, last.Attempts, err, last.Fingerprint))
 		}
 		res = &core.Result{Workload: wl, Policy: "failed", Failed: true}
-		e.res = res
-		return res
 	}
-	wall := time.Since(t0)
-	h.logf("done  %s id=%016x policy=%s simulated=%v wall=%v",
-		wl, keyID(key), res.Policy, res.Elapsed, wall.Round(time.Millisecond))
-	h.mu.Lock()
-	h.metrics = append(h.metrics, RunMetric{
-		ID:       keyID(key),
-		Workload: res.Workload,
-		Policy:   res.Policy,
-		Elapsed:  res.Elapsed,
-		NonIdle:  res.Agg.NonIdle(),
-		Steps:    res.Steps,
-		Events:   res.Events,
-		Wall:     wall,
-	})
-	h.mu.Unlock()
 	e.res = res
 	return res
 }
 
 // attempt drives one run through up to 1+Retries attempts with doubling
-// wall-clock backoff. When every attempt fails it returns the failure record
-// built from the last one (including its flight recorder's dump). id and
-// slot label the spans. A cancelled caller context short-circuits the retry
-// chain: retrying work nobody is waiting for would only burn CPU.
-func (h *Harness) attempt(ctx context.Context, wl, id string, slot int, build func() *workload.Spec, opt core.Options) (*core.Result, *RunFailure, error) {
+// wall-clock backoff, handing each attempt's record to h.record (kept when
+// keep is set) and returning the last one. waitFrom is when the run was
+// asked for, the start of the first attempt's wait. A cancelled caller
+// context short-circuits the retry chain: retrying work nobody is waiting
+// for would only burn CPU.
+func (h *Harness) attempt(ctx context.Context, wl, id string, waitFrom time.Duration, build func() *workload.Spec, opt core.Options, keep bool) (*core.Result, Record, error) {
+	h.executed.Add(1)
 	backoff := h.RetryBackoff
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
 	}
 	for attempts := 1; ; attempts++ {
-		var a0 time.Duration
-		if h.CollectSpans {
-			a0 = h.sinceStart()
-		}
-		res, rec, timedOut, err := h.runOnce(ctx, wl, build, opt)
-		if h.CollectSpans {
-			state := SpanRunning
-			switch {
-			case timedOut:
-				state = SpanTimeout
-			case err != nil:
-				state = SpanFailed
-			}
-			h.addSpan(Span{Workload: wl, ID: id, State: state, Attempt: attempts,
-				Slot: slot, Start: a0, End: h.sinceStart()})
-		}
+		r := Record{ID: id, Workload: wl, Attempts: attempts, WallStart: h.since()}
+		r.WallWait = r.WallStart - waitFrom
+		res, rec, err := h.runOnce(ctx, wl, build, opt)
+		r.WallEnd = h.since()
+		waitFrom = r.WallEnd
 		if err == nil {
-			return res, nil, nil
+			r.State = StateDone
+			r.measure(res)
+			h.record(r, keep)
+			return res, r, nil
 		}
+		r.State, r.TimedOut = StateFailed, errors.Is(err, context.DeadlineExceeded)
+		if r.TimedOut {
+			r.State = StateTimeout
+		}
+		r.Fingerprint, r.Error = opt.Fingerprint(), err.Error()
+		r.Events, r.EventsDropped = rec.Dump()
+		h.record(r, keep)
 		if attempts > h.Retries || ctx.Err() != nil {
-			return nil, h.failure(wl, id, opt, rec, attempts, timedOut, err), err
-		}
-		h.logf("retry %s attempt=%d backoff=%v err=%v", wl, attempts, backoff, err)
-		var r0 time.Duration
-		if h.CollectSpans {
-			r0 = h.sinceStart()
+			return nil, r, err
 		}
 		timer := time.NewTimer(backoff)
 		// The backoff races the caller's cancellation by design; both arms
@@ -350,31 +270,9 @@ func (h *Harness) attempt(ctx context.Context, wl, id string, slot int, build fu
 		case <-timer.C:
 		case <-ctx.Done():
 			timer.Stop()
-			return nil, h.failure(wl, id, opt, rec, attempts, timedOut, err), err
-		}
-		if h.CollectSpans {
-			h.addSpan(Span{Workload: wl, ID: id, State: SpanRetry, Attempt: attempts,
-				Slot: slot, Start: r0, End: h.sinceStart()})
+			return nil, r, err
 		}
 		backoff *= 2
-	}
-}
-
-// failure builds the record of a run that failed all its attempts — the
-// fingerprint to replay it, the attempt count, the timeout flag and the
-// flight recorder's dump — and logs its fail line.
-func (h *Harness) failure(wl, id string, opt core.Options, rec *obs.Recorder, attempts int, timedOut bool, err error) *RunFailure {
-	h.logf("fail  %s id=%s attempts=%d err=%v", wl, id, attempts, err)
-	dump, dropped := rec.Dump()
-	return &RunFailure{
-		Workload:      wl,
-		ID:            id,
-		Fingerprint:   opt.Fingerprint(),
-		Error:         err.Error(),
-		Attempts:      attempts,
-		TimedOut:      timedOut,
-		Events:        dump,
-		EventsDropped: dropped,
 	}
 }
 
@@ -394,10 +292,9 @@ type runOutcome struct {
 // cooperative: core.RunContext installs an engine-loop check polled every
 // ~1k events, so the child goroutine is always joined here — a timed-out run
 // stops simulating within microseconds instead of being abandoned to burn
-// CPU (the pre-context design leaked exactly that goroutine). timedOut
-// reports a deadline expiry, whether from RunTimeout or a deadline already
-// on ctx.
-func (h *Harness) runOnce(ctx context.Context, wl string, build func() *workload.Spec, opt core.Options) (res *core.Result, rec *obs.Recorder, timedOut bool, err error) {
+// CPU (the pre-context design leaked exactly that goroutine).
+func (h *Harness) runOnce(ctx context.Context, wl string, build func() *workload.Spec, opt core.Options) (*core.Result, *obs.Recorder, error) {
+	var rec *obs.Recorder
 	if h.RecorderDepth > 0 {
 		rec = obs.NewRecorder(h.RecorderDepth)
 		opt.EventSink = obs.Tee(rec.Record, opt.EventSink)
@@ -421,33 +318,22 @@ func (h *Harness) runOnce(ctx context.Context, wl string, build func() *workload
 		ch <- runOutcome{res: r, err: e}
 	}()
 	out := <-ch
-	return out.res, rec, errors.Is(out.err, context.DeadlineExceeded), out.err
+	return out.res, rec, out.err
 }
 
 // Execute runs one simulation through the harness's hardening — panic
 // isolation in a child goroutine, the retry chain with backoff, the
 // per-attempt flight recorder, RunTimeout and ctx cancellation propagated
-// into the engine loop — without touching the memo or the harness's
-// accumulating state (metrics, failures, spans). A long-running server keeps
-// one Harness for the life of the process, so Execute must not grow anything
-// per request: the failure manifest is returned to the caller instead of
-// appended, and caching is the caller's policy (internal/serve keys a
-// bounded LRU on the options fingerprint).
+// into the engine loop — without the memo. It returns the final attempt's
+// record instead of keeping it: a long-running server keeps one Harness for
+// the life of the process, so Execute must not grow anything per request,
+// and caching is the caller's policy (internal/serve keys a bounded LRU on
+// the options fingerprint).
 //
-// Unlike Run, opt is used verbatim: requests carry their own Seed. build is called once per attempt for a fresh spec (specs hold
-// generator state).
-func (h *Harness) Execute(ctx context.Context, label string, build func() *workload.Spec, opt core.Options) (*core.Result, *RunFailure, error) {
-	id := fmt.Sprintf("%016x", keyID(label+"|"+opt.Fingerprint()))
-	h.executed.Add(1)
-	h.logf("start %s id=%s", label, id)
-	t0 := time.Now()
-	res, fail, err := h.attempt(ctx, label, id, -1, build, opt)
-	if err != nil {
-		return nil, fail, err
-	}
-	h.logf("done  %s id=%s policy=%s simulated=%v wall=%v",
-		label, id, res.Policy, res.Elapsed, time.Since(t0).Round(time.Millisecond))
-	return res, nil, nil
+// Unlike Run, opt is used verbatim: requests carry their own Seed. build is
+// called once per attempt for a fresh spec (specs hold generator state).
+func (h *Harness) Execute(ctx context.Context, label string, build func() *workload.Spec, opt core.Options) (*core.Result, Record, error) {
+	return h.attempt(ctx, label, keyID(label+"|"+opt.Fingerprint()), h.since(), build, opt, false)
 }
 
 // FT runs the first-touch baseline for a workload.
@@ -461,21 +347,10 @@ func (h *Harness) MigRep(wl string) *core.Result {
 }
 
 // Trace returns the workload's miss trace, generated once under first-touch
-// placement (the paper records traces from the unmodified system).
-// Goroutine-safe: concurrent first calls share one trace-collecting run
-// through Run's singleflight.
+// placement (the paper records traces from the unmodified system) and
+// answered through Run's memo after that.
 func (h *Harness) Trace(wl string) *trace.Trace {
-	h.mu.Lock()
-	t, ok := h.traces[wl]
-	h.mu.Unlock()
-	if ok {
-		return t
-	}
-	res := h.Run(wl, core.Options{CollectTrace: true})
-	h.mu.Lock()
-	h.traces[wl] = res.Trace
-	h.mu.Unlock()
-	return res.Trace
+	return h.Run(wl, core.Options{CollectTrace: true}).Trace
 }
 
 // OtherTime estimates the placement-independent execution time of a

@@ -119,13 +119,13 @@ func (r Request) Build() (*Job, error) {
 	}
 	switch r.Metric {
 	case "", "fc":
-		opt.Metric = core.FullCache
+		opt.Metric = policy.FullCache
 	case "sc":
-		opt.Metric = core.SampledCache
+		opt.Metric = policy.SampledCache
 	case "ft":
-		opt.Metric = core.FullTLB
+		opt.Metric = policy.FullTLB
 	case "st":
-		opt.Metric = core.SampledTLB
+		opt.Metric = policy.SampledTLB
 	default:
 		return nil, fmt.Errorf("serve: unknown metric %q", r.Metric)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -424,6 +425,35 @@ func TestRequestDeadline(t *testing.T) {
 	if len(eb.Failure.Events) == 0 {
 		t.Fatal("flight recorder dump empty: a timed-out run should carry its last events")
 	}
+	failureKeys(t, rec.Body.Bytes(), "engineering/migrep", true, "events", "events_dropped")
+}
+
+// failureKeys checks the failure object of an error body keeps the keys
+// clients read — workload (the run's label), a 16-hex-digit id, fingerprint,
+// error, attempts and timed_out, plus the listed optional keys — with the
+// values of a run that failed on its only attempt.
+func failureKeys(t *testing.T, body []byte, label string, timedOut bool, optional ...string) {
+	t.Helper()
+	var raw struct {
+		Failure map[string]any `json:"failure"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil || raw.Failure == nil {
+		t.Fatalf("no failure object in %s", body)
+	}
+	f := raw.Failure
+	for _, k := range append([]string{"workload", "id", "fingerprint", "error", "attempts", "timed_out"}, optional...) {
+		if _, ok := f[k]; !ok {
+			t.Fatalf("failure body lost key %q: %v", k, f)
+		}
+	}
+	id, _ := f["id"].(string)
+	if _, err := strconv.ParseUint(id, 16, 64); err != nil || len(id) != 16 {
+		t.Fatalf("failure id %q is not 16 hex digits", id)
+	}
+	if f["workload"] != label || f["attempts"] != 1.0 || f["timed_out"] != timedOut {
+		t.Fatalf("failure body = workload %v attempts %v timed_out %v; want %s, 1, %v",
+			f["workload"], f["attempts"], f["timed_out"], label, timedOut)
+	}
 }
 
 // TestChaosPaths: deterministic fault injection rides along a request (same
@@ -455,6 +485,7 @@ func TestChaosPaths(t *testing.T) {
 	if eb.Failure == nil || !strings.Contains(eb.Failure.Error, "injected chaos") {
 		t.Fatalf("failure manifest = %+v", eb.Failure)
 	}
+	failureKeys(t, rec.Body.Bytes(), "engineering/migrep", false)
 	// Failures are never cached: the same request succeeds once the panic
 	// hook is gone.
 	s.harness.PreRun = nil

@@ -41,9 +41,9 @@ type Config struct {
 	RecorderDepth int
 	// MaxBodyBytes bounds the request body (default 1 MiB).
 	MaxBodyBytes int64
-	// Logf, when set, receives one line per lifecycle transition and each
-	// run's start/finish (the harness logs through it too). Must be safe for
-	// concurrent use.
+	// Logf, when set, receives one line per lifecycle transition and one per
+	// run attempt (the harness logs each attempt's record through it). Must
+	// be safe for concurrent use.
 	Logf func(format string, args ...any)
 }
 
@@ -150,12 +150,12 @@ func (s *Server) Handler() http.Handler {
 }
 
 // errorBody is the JSON shape of every non-2xx response: a human-readable
-// error plus, when a simulation actually failed, the harness's failure
-// manifest (options fingerprint, attempts, flight-recorder dump) — a crash
-// is a diagnosable response, not a dead connection.
+// error plus, when a simulation actually failed, the run's last harness
+// record (options fingerprint, attempts, flight-recorder dump) — a crash is
+// a diagnosable response, not a dead connection.
 type errorBody struct {
-	Error   string             `json:"error"`
-	Failure *report.RunFailure `json:"failure,omitempty"`
+	Error   string         `json:"error"`
+	Failure *report.Record `json:"failure,omitempty"`
 }
 
 func writeError(w http.ResponseWriter, status int, body errorBody) {
@@ -166,10 +166,10 @@ func writeError(w http.ResponseWriter, status int, body errorBody) {
 	enc.Encode(body) //nolint:errcheck // nothing left to do for a gone client
 }
 
-// runError carries a simulation failure (with its manifest) out of the cache
-// fill so the handler can map it to a status code.
+// runError carries a simulation failure (with its last record) out of the
+// cache fill so the handler can map it to a status code.
 type runError struct {
-	fail *report.RunFailure
+	fail *report.Record
 	err  error
 }
 
@@ -261,13 +261,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		defer s.releaseRun()
 		res, fail, rerr := s.harness.Execute(ctx, job.Label, job.Spec, job.Opt)
 		if rerr != nil {
-			return nil, &runError{fail: fail, err: rerr}
+			return nil, &runError{fail: &fail, err: rerr}
 		}
 		return ResultJSON(res)
 	})
 	if err != nil {
 		var re *runError
-		var fail *report.RunFailure
+		var fail *report.Record
 		if errors.As(err, &re) {
 			fail = re.fail
 		}
@@ -308,8 +308,8 @@ func (s *Server) releaseRun() {
 // writeRunError maps a failed run (or a dead context) to its status: 504 for
 // a deadline, 503 for a drain-induced cancel or shed, nothing at all for a
 // client that hung up (there is no one left to answer), 500 for a genuine
-// simulation failure — always with the failure manifest when one exists.
-func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error, fail *report.RunFailure) {
+// simulation failure — always with the failed run's record when one exists.
+func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error, fail *report.Record) {
 	switch {
 	case errors.Is(err, errShed):
 		writeError(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
@@ -341,7 +341,7 @@ func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, job *Job)
 	opt.EventSink = sw.Sink()
 	res, fail, err := s.harness.Execute(ctx, job.Label, job.Spec, opt)
 	if err != nil {
-		sw.WriteValue(errorBody{Error: err.Error(), Failure: fail})
+		sw.WriteValue(errorBody{Error: err.Error(), Failure: &fail})
 		return
 	}
 	s.served.Add(1)

@@ -63,36 +63,6 @@ func (k PolicyKind) String() string {
 // Dynamic reports whether the policy moves pages at run time.
 func (k PolicyKind) Dynamic() bool { return k == Migr || k == Repl || k == MigRep }
 
-// Metric selects the records that drive the policy counters (Figure 8).
-type Metric int
-
-const (
-	// FullCache uses every cache-miss record.
-	FullCache Metric = iota
-	// SampledCache uses one cache-miss record in ten.
-	SampledCache
-	// FullTLB uses every TLB-miss record.
-	FullTLB
-	// SampledTLB uses one TLB-miss record in ten.
-	SampledTLB
-)
-
-// String names the metric as in Figure 8.
-func (m Metric) String() string {
-	return [...]string{"FC", "SC", "FT", "ST"}[m]
-}
-
-// CacheDriven reports whether cache-miss records feed the counters.
-func (m Metric) CacheDriven() bool { return m == FullCache || m == SampledCache }
-
-// SampleRate returns the counting sample rate.
-func (m Metric) SampleRate() int {
-	if m == SampledCache || m == SampledTLB {
-		return 10
-	}
-	return 1
-}
-
 // Config parameterises the trace simulator.
 type Config struct {
 	// Nodes is the machine size; CPU c lives on node c mod Nodes.
@@ -106,15 +76,11 @@ type Config struct {
 	// Params drive the dynamic policies.
 	Params policy.Params
 	// Metric selects the information source.
-	Metric Metric
+	Metric policy.Metric
 	// OtherTime is the placement-independent execution time (compute, L2
 	// hits, idle) added to every policy's total so normalised comparisons
 	// include the paper's "other" component.
 	OtherTime sim.Time
-	// MultiReplicate replicates to every node above the sharing threshold
-	// in one action (matching the kernel implementation); each copy pays
-	// MoveCost.
-	MultiReplicate bool
 	// CounterGroup makes CounterGroup CPUs share one miss counter (the
 	// Section 7.2.1 space reduction); 0 or 1 keeps per-CPU counters.
 	CounterGroup int
@@ -127,20 +93,19 @@ type Config struct {
 func DefaultConfig(nodes int) Config {
 	cost := sim.Time(float64(350*sim.Microsecond) * topology.CCNUMA().CostScale)
 	return Config{
-		Nodes:          nodes,
-		LocalLatency:   300,
-		RemoteLatency:  1200,
-		MoveCost:       cost,
-		Params:         policy.Base(),
-		Metric:         FullCache,
-		MultiReplicate: true,
+		Nodes:         nodes,
+		LocalLatency:  300,
+		RemoteLatency: 1200,
+		MoveCost:      cost,
+		Params:        policy.Base(),
+		Metric:        policy.FullCache,
 	}
 }
 
 // Outcome is one policy's result over a trace.
 type Outcome struct {
 	Policy       PolicyKind
-	Metric       Metric
+	Metric       policy.Metric
 	LocalMisses  uint64
 	RemoteMisses uint64
 	StallLocal   sim.Time
@@ -340,14 +305,14 @@ func applyAction(out *Outcome, cfg Config, params policy.Params,
 		out.Migrations++
 		out.Overhead += cfg.MoveCost
 	case policy.ReplicatePage:
+		// Replicate to every node above the sharing threshold in one action
+		// (matching the kernel implementation); each copy pays MoveCost.
 		targets := []mem.NodeID{node}
-		if cfg.MultiReplicate {
-			row := counters.MissRow(h.Page)
-			for c := 0; c < cfg.Nodes; c++ {
-				cn := mem.NodeID(c)
-				if cn != node && row[counters.GroupOf(mem.CPUID(c))] >= params.Sharing && !p.hasCopy(cn) {
-					targets = append(targets, cn)
-				}
+		row := counters.MissRow(h.Page)
+		for c := 0; c < cfg.Nodes; c++ {
+			cn := mem.NodeID(c)
+			if cn != node && row[counters.GroupOf(mem.CPUID(c))] >= params.Sharing && !p.hasCopy(cn) {
+				targets = append(targets, cn)
 			}
 		}
 		for _, n := range targets {
@@ -375,7 +340,7 @@ func SimulateAll(tr *trace.Trace, cfg Config) []Outcome {
 // SimulateMetrics runs the combined policy under each Figure-8 metric.
 func SimulateMetrics(tr *trace.Trace, cfg Config) []Outcome {
 	outs := make([]Outcome, 0, 4)
-	for _, m := range []Metric{FullCache, SampledCache, FullTLB, SampledTLB} {
+	for _, m := range []policy.Metric{policy.FullCache, policy.SampledCache, policy.FullTLB, policy.SampledTLB} {
 		c := cfg
 		c.Metric = m
 		outs = append(outs, Simulate(tr, c, MigRep))

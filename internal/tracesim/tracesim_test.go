@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ccnuma/internal/mem"
+	"ccnuma/internal/policy"
 	"ccnuma/internal/sim"
 	"ccnuma/internal/trace"
 )
@@ -196,7 +197,7 @@ func TestTLBMetricIgnoresCacheRecords(t *testing.T) {
 	tr := hotTrace(1, 1, 300) // cache misses only
 	tr.Records = append([]trace.Record{rec(0, 0, 1, mem.DataRead)}, tr.Records...)
 	c := cfg4()
-	c.Metric = FullTLB
+	c.Metric = policy.FullTLB
 	out := Simulate(tr, c, MigRep)
 	if out.Migrations+out.Replications != 0 {
 		t.Fatal("TLB metric acted on cache-miss records")
@@ -214,7 +215,7 @@ func TestTLBMetricActsOnTLBRecords(t *testing.T) {
 		tr.Append(tlbRec(i*1000, 1, 1))
 	}
 	c := cfg4()
-	c.Metric = FullTLB
+	c.Metric = policy.FullTLB
 	out := Simulate(tr, c, MigRep)
 	if out.Migrations == 0 {
 		t.Fatal("TLB metric did not trigger on TLB records")
@@ -231,7 +232,7 @@ func TestSampledCacheApproximatesFull(t *testing.T) {
 	}
 	c := cfg4()
 	fc := Simulate(tr, c, MigRep)
-	c.Metric = SampledCache
+	c.Metric = policy.SampledCache
 	sc := Simulate(tr, c, MigRep)
 	if fc.Migrations == 0 || sc.Migrations == 0 {
 		t.Fatalf("FC/SC migrations = %d/%d", fc.Migrations, sc.Migrations)
@@ -282,7 +283,7 @@ func TestSimulateMetricsOrder(t *testing.T) {
 	if len(outs) != 4 {
 		t.Fatalf("outcomes = %d", len(outs))
 	}
-	for i, m := range []Metric{FullCache, SampledCache, FullTLB, SampledTLB} {
+	for i, m := range []policy.Metric{policy.FullCache, policy.SampledCache, policy.FullTLB, policy.SampledTLB} {
 		if outs[i].Metric != m {
 			t.Fatalf("metric order mismatch at %d", i)
 		}
