@@ -2,11 +2,11 @@ GO ?= go
 
 # Tier-1 verification plus formatting, the one-CPU goldens, the race detector,
 # and benchmark smoke runs. `make ci` is what a CI job should run.
-.PHONY: ci fmt-check vet build test perfbench-check golden-1cpu race fault-smoke \
-	bench-smoke obs-bench-smoke serve-smoke bench
+.PHONY: ci fmt-check vet build test perfbench-check golden-1cpu probe-check race \
+	fault-smoke bench-smoke obs-bench-smoke serve-smoke bench
 
-ci: fmt-check vet build perfbench-check golden-1cpu race fault-smoke bench-smoke \
-	obs-bench-smoke serve-smoke
+ci: fmt-check vet build perfbench-check golden-1cpu probe-check race fault-smoke \
+	bench-smoke obs-bench-smoke serve-smoke
 
 # $(call named,PKG,PATTERN) fails unless every |-separated alternative of
 # PATTERN matches a test or benchmark in PKG (listed with go test -list).
@@ -56,6 +56,18 @@ golden-1cpu:
 	taskset -c 0 $(GO) test -count=1 -cpu 1,2 -run '$(GOLDEN_CORE)|$(GOLDEN_REPORT)' \
 		./internal/core ./internal/report
 
+# The probe-first read path (core's access) skips the full TLB and L1 lookups
+# when their MRU-way probes hit. Its exactness rests on these tests: each
+# probe, falling back to Lookup on a miss, leaves the same answers, stats and
+# ways as Lookup alone, and no wired page ever enters a TLB.
+PROBE_TESTS = TestHitMRUMatchesLookup|TestWiredPagesNeverInTLB
+
+probe-check:
+	$(call named,./internal/tlb,TestHitMRUMatchesLookup)
+	$(call named,./internal/cache,TestHitMRUMatchesLookup)
+	$(call named,./internal/core,TestWiredPagesNeverInTLB)
+	$(GO) test -count=1 -run '^($(PROBE_TESTS))$$' ./internal/tlb ./internal/cache ./internal/core
+
 # The experiment harness is concurrent (report.Harness singleflight memo,
 # per-experiment worker pools); keep the race detector in the loop. The
 # second run re-executes the contention hammers by name with -count=1 so a
@@ -79,10 +91,13 @@ fault-smoke:
 	$(GO) test -run 'TestChaos' -count=1 ./internal/core
 
 # One cheap iteration of the trace-simulator benchmark proves the bench
-# harness still builds and runs end to end.
+# harness still builds and runs end to end; one of BenchmarkReadChains keeps
+# Figure 4's chain analysis on a write-heavy trace in view.
 bench-smoke:
 	$(call named,.,BenchmarkTraceSimThroughput)
+	$(call named,./internal/trace,BenchmarkReadChains)
 	BENCH_SCALE=0.1 $(GO) test -run '^$$' -bench BenchmarkTraceSimThroughput -benchtime 1x .
+	$(GO) test -run '^$$' -bench BenchmarkReadChains -benchtime 1x ./internal/trace
 
 # The disabled-tracer benchmark doubles as the proof that instrumentation
 # costs one branch when off; one iteration keeps CI honest about it building.

@@ -138,16 +138,47 @@ func main() {
 
 	start := time.Now()
 	var failedExps []string
+	// newFailures returns the failed runs not returned before: those of the
+	// experiment that just ran, since experiments run one after another.
+	type attempt struct {
+		id    string
+		n     int
+		start time.Duration
+	}
+	seen := map[attempt]bool{}
+	newFailures := func() []report.Record {
+		var out []report.Record
+		for _, r := range report.FailedRuns(h.Records()) {
+			if k := (attempt{r.ID, r.Attempts, r.WallStart}); !seen[k] {
+				seen[k] = true
+				out = append(out, r)
+			}
+		}
+		return out
+	}
 	runExp := func(e report.Experiment) (body string) {
 		if *keepGoing {
-			// A placeholder result from a failed run can still break an
-			// experiment's rendering; under -keep-going that costs only the
-			// one section, not the rest of the grid.
+			// A failed run leaves a placeholder result (zero counts) that
+			// would render as numbers, or break the rendering; under
+			// -keep-going either costs only this section, which renders as
+			// FAILED, not the rest of the grid.
 			defer func() {
-				if r := recover(); r != nil {
-					failedExps = append(failedExps, e.ID)
-					body = fmt.Sprintf("FAILED: %v\n", r)
+				r := recover()
+				failed := newFailures()
+				if r == nil && len(failed) == 0 {
+					return
 				}
+				failedExps = append(failedExps, e.ID)
+				if r != nil {
+					body = fmt.Sprintf("FAILED: %v\n", r)
+					return
+				}
+				var b strings.Builder
+				fmt.Fprintf(&b, "FAILED: %d simulation run(s) failed:\n\n", len(failed))
+				for _, f := range failed {
+					fmt.Fprintf(&b, "- %s id=%s %s after %d attempt(s)\n", f.Workload, f.ID, f.State, f.Attempts)
+				}
+				body = b.String()
 			}()
 		}
 		return e.Run(h)

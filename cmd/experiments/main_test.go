@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -24,9 +25,10 @@ type record struct {
 // TestRecordOutputsAgree runs the built binary end to end on Table 3 at a
 // tiny scale. With a 1 ns run timeout every simulation times out: the run
 // exits 1, every run the manifest lists is in the -metrics file as a timeout
-// record under the same 16-hex-digit id, and every record's slices are in
-// the -spans trace. Without the timeout the same grid exits 0 with no failed
-// record.
+// record under the same 16-hex-digit id, every record's slices are in the
+// -spans trace, and Table 3 renders as FAILED, naming the failed runs, and is
+// listed in the manifest's experiments_failed. Without the timeout the same
+// grid exits 0 with no failed record.
 func TestRecordOutputsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the experiments binary")
@@ -37,22 +39,23 @@ func TestRecordOutputsAgree(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	path := func(name string) string { return filepath.Join(dir, name) }
-	run := func(args ...string) int {
+	run := func(args ...string) (int, string) {
 		cmd := exec.Command(bin, append([]string{"-only", "T3", "-scale", "0.02"}, args...)...)
 		var out bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &out, &out
 		err := cmd.Run()
 		var exit *exec.ExitError
 		if errors.As(err, &exit) {
-			return exit.ExitCode()
+			return exit.ExitCode(), out.String()
 		} else if err != nil {
 			t.Fatalf("%v\n%s", err, out.String())
 		}
-		return 0
+		return 0, out.String()
 	}
 
-	if code := run("-keep-going", "-run-timeout", "1ns", "-metrics", path("m.jsonl"),
-		"-spans", path("s.json"), "-manifest", path("f.json")); code != 1 {
+	code, out := run("-keep-going", "-run-timeout", "1ns", "-metrics", path("m.jsonl"),
+		"-spans", path("s.json"), "-manifest", path("f.json"))
+	if code != 1 {
 		t.Fatalf("timed-out grid: exit %d, want 1", code)
 	}
 	recs := readRecords(t, path("m.jsonl"))
@@ -65,13 +68,23 @@ func TestRecordOutputsAgree(t *testing.T) {
 	}
 
 	var manifest struct {
-		RunsFailed []record `json:"runs_failed"`
+		ExperimentsFailed []string `json:"experiments_failed"`
+		RunsFailed        []record `json:"runs_failed"`
 	}
 	readJSON(t, path("f.json"), &manifest)
 	if len(manifest.RunsFailed) == 0 {
 		t.Fatal("manifest lists no failed run")
 	}
+	if len(manifest.ExperimentsFailed) != 1 || manifest.ExperimentsFailed[0] != "T3" {
+		t.Fatalf("manifest experiments_failed = %q, want [T3]", manifest.ExperimentsFailed)
+	}
+	if !strings.Contains(out, "FAILED: ") || strings.Contains(out, "NaN") {
+		t.Fatalf("Table 3 over timed-out runs must render as FAILED, not numbers:\n%s", out)
+	}
 	for _, f := range manifest.RunsFailed {
+		if !strings.Contains(out, "id="+f.ID) {
+			t.Fatalf("the FAILED section does not name failed run %s:\n%s", f.ID, out)
+		}
 		found := false
 		for _, r := range byID[f.ID] {
 			found = found || (r.State == "timeout" && r.Attempts == f.Attempts && r.Workload == f.Workload)
@@ -113,7 +126,7 @@ func TestRecordOutputsAgree(t *testing.T) {
 		}
 	}
 
-	if code := run("-metrics", path("ok.jsonl")); code != 0 {
+	if code, _ := run("-metrics", path("ok.jsonl")); code != 0 {
 		t.Fatalf("grid without a timeout: exit %d, want 0", code)
 	}
 	done := 0

@@ -63,29 +63,43 @@ func (c *Cache) Stats() (hits, misses, stale uint64) {
 	return c.hits, c.misses, c.stalees
 }
 
-func (c *Cache) set(l mem.GLine) []entry {
-	var s int
+// mru returns the index in ways of way 0 of line l's set.
+func (c *Cache) mru(l mem.GLine) int {
 	if c.pow2 {
-		s = int(uint64(l) & c.mask)
-	} else {
-		s = int(uint64(l) % uint64(c.sets))
+		return int(uint64(l)&c.mask) * c.assoc
 	}
-	return c.ways[s*c.assoc : (s+1)*c.assoc]
+	return int(uint64(l)%uint64(c.sets)) * c.assoc
+}
+
+func (c *Cache) set(l mem.GLine) []entry {
+	i := c.mru(l)
+	return c.ways[i : i+c.assoc]
+}
+
+// HitMRU probes only the MRU way (way 0) of line l's set. A valid copy
+// there (current version and epoch) counts a hit and returns true; anything
+// else changes nothing, so the caller can fall back to Lookup with identical
+// state and statistics (Lookup then drops a stale way-0 copy).
+func (c *Cache) HitMRU(l mem.GLine) bool {
+	if e := &c.ways[c.mru(l)]; e.tag == l && e.version == c.val.LineVersion(l) &&
+		e.epoch == c.val.PageEpoch(l.Page()) {
+		c.hits++
+		return true
+	}
+	return false
 }
 
 // Lookup probes the cache for line l. On a hit the entry is refreshed to
 // most-recently-used and true is returned. A cached copy whose version or
 // epoch stamp is out of date counts as a miss (the stale copy is dropped).
 func (c *Cache) Lookup(l mem.GLine) bool {
-	set := c.set(l)
 	// Way 0 is MRU and takes the overwhelming majority of hits; resolving it
 	// first skips the move-to-front shuffle (a no-op at i=0) entirely.
-	if set[0].tag == l {
-		if set[0].version == c.val.LineVersion(l) &&
-			set[0].epoch == c.val.PageEpoch(l.Page()) {
-			c.hits++
-			return true
-		}
+	if c.HitMRU(l) {
+		return true
+	}
+	set := c.set(l)
+	if set[0].tag == l { // present but stale
 		set[0].tag = noTag
 		c.misses++
 		c.stalees++

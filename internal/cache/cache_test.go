@@ -301,3 +301,62 @@ func TestCacheValidityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHitMRUMatchesLookup drives twin caches over one Validity with a random
+// stream of lookups, fills, and line and page bumps. The probe twin answers
+// each lookup with HitMRU and falls back to Lookup on a miss, as the fast
+// read path does; the other always uses Lookup. Answers, statistics and
+// every way must agree after each operation, and a probe miss must change
+// nothing.
+func TestHitMRUMatchesLookup(t *testing.T) {
+	r := sim.NewRand(11)
+	v := NewValidity(6, 1)
+	// 4 sets of 2 ways: lines of the 6 pages collide often.
+	probe, full := New("probe", 8*mem.LineSize, 2, v), New("full", 8*mem.LineSize, 2, v)
+	for i := 0; i < 200000; i++ {
+		l := mem.GPage(r.Intn(6)).Line(r.Intn(4))
+		switch op := r.Intn(20); {
+		case op < 11:
+			before := append([]entry(nil), probe.ways...)
+			bh, bm, bs := probe.Stats()
+			hit := probe.HitMRU(l)
+			if !hit {
+				if h, m, s := probe.Stats(); h != bh || m != bm || s != bs || !sameWays(probe.ways, before) {
+					t.Fatalf("op %d: a HitMRU miss changed the cache", i)
+				}
+				hit = probe.Lookup(l)
+			}
+			if want := full.Lookup(l); hit != want {
+				t.Fatalf("op %d: probe answered %v, Lookup %v", i, hit, want)
+			}
+		case op < 16:
+			ver := v.LineVersion(l)
+			probe.Insert(l, ver)
+			full.Insert(l, ver)
+		case op < 19:
+			v.BumpLine(l)
+		default:
+			v.BumpPage(l.Page())
+		}
+		ph, pm, ps := probe.Stats()
+		fh, fm, fs := full.Stats()
+		if ph != fh || pm != fm || ps != fs {
+			t.Fatalf("op %d: stats %d/%d/%d, want %d/%d/%d", i, ph, pm, ps, fh, fm, fs)
+		}
+		if !sameWays(probe.ways, full.ways) {
+			t.Fatalf("op %d: ways differ", i)
+		}
+	}
+	if h, _, s := full.Stats(); h == 0 || s == 0 {
+		t.Fatalf("the stream produced %d hits and %d stale misses; want both", h, s)
+	}
+}
+
+func sameWays(a, b []entry) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}

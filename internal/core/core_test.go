@@ -310,3 +310,41 @@ func TestPartitionScheduledWorkload(t *testing.T) {
 		t.Fatalf("partition run incomplete: %d steps", res.Steps)
 	}
 }
+
+// TestWiredPagesNeverInTLB pins the invariant the probe-first read path in
+// access relies on: a read that hits the TLB skips the page record, so it
+// would bypass the wired branch if a wired page could enter a TLB. Pmake
+// runs kernel-heavy compiles over wired kernel text, per-CPU and shared
+// regions; afterwards no CPU's TLB may hold a wired page, while some CPU's
+// caches must hold a wired line (the run did reference them).
+func TestWiredPagesNeverInTLB(t *testing.T) {
+	spec := workload.Pmake(0.05, 1)
+	sys, err := NewSystem(spec, Options{Seed: 1, Dynamic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wired, cached := 0, false
+	for _, r := range spec.Regions {
+		if r.Kind != workload.KernelRegion {
+			continue
+		}
+		for i := 0; i < r.N; i++ {
+			p := r.Page(i)
+			wired++
+			for _, c := range sys.cpus {
+				if c.tlb.HoldsPage(p) {
+					t.Fatalf("cpu %d's TLB holds wired page %d (region %s)", c.id, p, r.Name)
+				}
+				for l := 0; l < mem.LinesPerPage && !cached; l++ {
+					cached = c.caches.L2.Contains(p.Line(l))
+				}
+			}
+		}
+	}
+	if wired == 0 || !cached {
+		t.Fatalf("%d wired pages, referenced %v: the run exercised no wired page", wired, cached)
+	}
+}

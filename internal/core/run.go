@@ -118,15 +118,18 @@ func (s *System) step(c *cpuState, now sim.Time) {
 // access runs one memory reference through TLB, caches, and (on a full
 // miss) the NUMA memory system, charging all latencies and feeding the
 // policy counters and the trace.
+//
+// A read (data load or instruction fetch) first probes the MRU ways of the
+// TLB and of its side's L1. Both probes change nothing on a miss, so a read
+// that misses either falls back with the state and statistics the full path
+// expects. A read that hits the TLB needs nothing else from the page record:
+// wired pages never enter a TLB (the only Insert calls are in the non-wired
+// branch below), a read ignores the protection bit, and a transit lock
+// charges a read only when it needed a fresh translation.
 func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time) (sim.Time, bool) {
-	kernel := p.gen.Kernel()
 	mode := stats.User
-	if kernel {
+	if p.gen.Kernel() {
 		mode = stats.Kernel
-	}
-	side := stats.Data
-	if st.Access.IsInstr() {
-		side = stats.Instr
 	}
 	c.steps++
 	comp := s.cfg.CycleTime * cyclesPerStep
@@ -134,6 +137,20 @@ func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time)
 	t += comp
 
 	page := st.Page
+	line := page.Line(int(st.Line) % mem.LinesPerPage)
+	if !st.Access.IsWrite() {
+		if pfn, ok := c.tlb.HitMRU(p.vmID, page); ok {
+			l1 := c.caches.L1D
+			if st.Access.IsInstr() {
+				l1 = c.caches.L1I
+			}
+			if l1.HitMRU(line) {
+				return t, false // first-level hits are folded into the compute charge
+			}
+			return s.reference(c, st, mode, false, pfn, line, t)
+		}
+	}
+
 	pi := s.vmm.Page(page)
 	wired := pi.Flags&vm.Wired != 0
 	var pfn mem.PFN
@@ -147,7 +164,7 @@ func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time)
 			t += s.cfg.TLBRefill
 			if s.tracer != nil {
 				s.tracer.Append(trace.Record{At: t, Page: page, CPU: c.id,
-					Kind: st.Access, Kernel: kernel, Src: trace.TLBMiss})
+					Kind: st.Access, Kernel: mode == stats.Kernel, Src: trace.TLBMiss})
 			}
 			pte, kind := s.vmm.Touch(p.vmID, page, c.node)
 			if !s.opt.Metric.CacheDriven() {
@@ -189,9 +206,19 @@ func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time)
 			c.tlb.Insert(p.vmID, page, pfn, pte.RO)
 		}
 	}
+	return s.reference(c, st, mode, wired, pfn, line, t)
+}
 
-	line := page.Line(int(st.Line) % mem.LinesPerPage)
-	missed := false
+// reference is access's cache and memory half, once the reference is
+// translated to frame pfn: it runs line through the cache hierarchy and, on
+// a full miss, the memory system, charging stalls and feeding the
+// cache-driven counters and the trace. It reports whether the hierarchy
+// missed.
+func (s *System) reference(c *cpuState, st workload.Step, mode stats.Mode, wired bool, pfn mem.PFN, line mem.GLine, t sim.Time) (sim.Time, bool) {
+	side := stats.Data
+	if st.Access.IsInstr() {
+		side = stats.Instr
+	}
 	switch c.caches.Access(line, st.Access) {
 	case cache.HitL1:
 		// First-level hits are folded into the compute charge.
@@ -199,7 +226,6 @@ func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time)
 		c.bd.AddStall(mode, side, stats.L2, s.cfg.L2Hit)
 		t += s.cfg.L2Hit
 	case cache.Miss:
-		missed = true
 		home := s.cfg.NodeOfFrame(pfn)
 		lat, remote := s.mems.Access(t, c.id, home, st.Access)
 		lvl := stats.LocalMem
@@ -209,14 +235,15 @@ func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time)
 		c.bd.AddStall(mode, side, lvl, lat)
 		t += lat
 		if s.tracer != nil {
-			s.tracer.Append(trace.Record{At: t, Page: page, CPU: c.id,
-				Kind: st.Access, Kernel: kernel, Src: trace.CacheMiss})
+			s.tracer.Append(trace.Record{At: t, Page: st.Page, CPU: c.id,
+				Kind: st.Access, Kernel: mode == stats.Kernel, Src: trace.CacheMiss})
 		}
 		if !wired && s.opt.Metric.CacheDriven() {
-			s.counters.Record(page, c.id, st.Access.IsWrite(), remote)
+			s.counters.Record(st.Page, c.id, st.Access.IsWrite(), remote)
 		}
+		return t, true
 	}
-	return t, missed
+	return t, false
 }
 
 // codeFirstTouchReplica implements the replicate-code-on-first-touch

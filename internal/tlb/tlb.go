@@ -55,14 +55,30 @@ func New(entries, assoc int) *TLB {
 // Stats returns cumulative hit and miss counts.
 func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.misses }
 
-func (t *TLB) set(p mem.GPage) []entry {
-	var s int
+// mru returns the index in ways of way 0 of page p's set.
+func (t *TLB) mru(p mem.GPage) int {
 	if t.pow2 {
-		s = int(uint32(p) & t.mask)
-	} else {
-		s = int(uint32(p) % uint32(t.sets))
+		return int(uint32(p)&t.mask) * t.assoc
 	}
-	return t.ways[s*t.assoc : (s+1)*t.assoc]
+	return int(uint32(p)%uint32(t.sets)) * t.assoc
+}
+
+func (t *TLB) set(p mem.GPage) []entry {
+	i := t.mru(p)
+	return t.ways[i : i+t.assoc]
+}
+
+// HitMRU probes only the MRU way (way 0) of page p's set. On a hit it
+// counts the hit and returns the frame; on a miss it changes nothing, so the
+// caller can fall back to Lookup with identical state and statistics. The
+// protection bit is not returned: the fast read path, its one caller, needs
+// only the frame.
+func (t *TLB) HitMRU(asid mem.ProcID, p mem.GPage) (pfn mem.PFN, ok bool) {
+	if e := &t.ways[t.mru(p)]; e.valid && e.page == p && e.asid == asid {
+		t.hits++
+		return e.pfn, true
+	}
+	return mem.NoFrame, false
 }
 
 // Lookup probes for a translation of page p in address space asid. On a hit
@@ -72,9 +88,8 @@ func (t *TLB) Lookup(asid mem.ProcID, p mem.GPage) (pfn mem.PFN, ro bool, ok boo
 	set := t.set(p)
 	// MRU (way 0) takes most hits; answering it before the scan skips the
 	// move-to-front copy, which is a no-op at way 0 anyway.
-	if e := &set[0]; e.valid && e.page == p && e.asid == asid {
-		t.hits++
-		return e.pfn, e.ro, true
+	if pfn, ok := t.HitMRU(asid, p); ok {
+		return pfn, set[0].ro, true
 	}
 	for i := 1; i < len(set); i++ {
 		if set[i].valid && set[i].page == p && set[i].asid == asid {

@@ -144,3 +144,63 @@ func TestTLBConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHitMRUMatchesLookup drives twin TLBs with one random stream of
+// lookups, inserts and flushes. The probe twin answers each lookup with
+// HitMRU and falls back to Lookup on a miss, as the fast read path does; the
+// other always uses Lookup. Answers, statistics and every way must agree
+// after each operation, and a probe miss must change nothing.
+func TestHitMRUMatchesLookup(t *testing.T) {
+	r := sim.NewRand(7)
+	probe, full := New(16, 4), New(16, 4)
+	for i := 0; i < 200000; i++ {
+		asid := mem.ProcID(r.Intn(3))
+		page := mem.GPage(r.Intn(24))
+		switch op := r.Intn(20); {
+		case op < 12:
+			before := append([]entry(nil), probe.ways...)
+			bh, bm := probe.Stats()
+			pfn, ok := probe.HitMRU(asid, page)
+			if !ok {
+				if h, m := probe.Stats(); h != bh || m != bm || !sameWays(probe.ways, before) {
+					t.Fatalf("op %d: a HitMRU miss changed the TLB", i)
+				}
+				pfn, _, ok = probe.Lookup(asid, page)
+			}
+			wpfn, _, wok := full.Lookup(asid, page)
+			if pfn != wpfn || ok != wok {
+				t.Fatalf("op %d: probe answered (%d, %v), Lookup (%d, %v)", i, pfn, ok, wpfn, wok)
+			}
+		case op < 18:
+			pfn, ro := mem.PFN(r.Intn(100)), r.Intn(2) == 0
+			probe.Insert(asid, page, pfn, ro)
+			full.Insert(asid, page, pfn, ro)
+		case op == 18:
+			probe.FlushPage(page)
+			full.FlushPage(page)
+		default:
+			probe.FlushAll()
+			full.FlushAll()
+		}
+		ph, pm := probe.Stats()
+		fh, fm := full.Stats()
+		if ph != fh || pm != fm {
+			t.Fatalf("op %d: stats %d/%d, want %d/%d", i, ph, pm, fh, fm)
+		}
+		if !sameWays(probe.ways, full.ways) {
+			t.Fatalf("op %d: ways differ", i)
+		}
+	}
+	if h, _ := full.Stats(); h == 0 {
+		t.Fatal("the stream produced no hit")
+	}
+}
+
+func sameWays(a, b []entry) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}

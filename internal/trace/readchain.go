@@ -24,24 +24,34 @@ var DefaultThresholds = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 // ReadChains computes the Figure-4 distribution over the trace's user-mode
 // data cache misses. Instruction fetches are excluded (code is trivially
 // read-only); TLB records are ignored.
+//
+// Open chains are kept per page, so a write closes its page's chains in one
+// lookup: the cost is linear in the trace. A closed chain adds its length
+// to every threshold it reaches; the sums do not depend on the order in
+// which chains close.
 func ReadChains(t *Trace, thresholds []int) ChainAnalysis {
 	if len(thresholds) == 0 {
 		thresholds = DefaultThresholds
 	}
-	// open[page][cpu] is the length of the currently-open read chain.
-	type key struct {
-		page mem.GPage
-		cpu  mem.CPUID
+	// chain is one processor's open read chain on a page.
+	type chain struct {
+		cpu mem.CPUID
+		n   uint64
 	}
-	open := map[key]uint64{}
-	// hist[l] = number of misses in chains of exactly length l, bucketed by
-	// chain length (we accumulate chain lengths as they close).
-	var chains []uint64
-
-	closeChain := func(k key) {
-		if n := open[k]; n > 0 {
-			chains = append(chains, n)
-			delete(open, k)
+	open := map[mem.GPage][]chain{}
+	out := ChainAnalysis{
+		Thresholds:      thresholds,
+		FractionAtLeast: make([]float64, len(thresholds)),
+	}
+	in := make([]uint64, len(thresholds))
+	closeAll := func(cs []chain) {
+		for _, c := range cs {
+			out.TotalDataMisses += c.n
+			for i, th := range thresholds {
+				if c.n >= uint64(th) {
+					in[i] += c.n
+				}
+			}
 		}
 	}
 
@@ -49,42 +59,35 @@ func ReadChains(t *Trace, thresholds []int) ChainAnalysis {
 		if r.Src != CacheMiss || r.Kind.IsInstr() {
 			continue
 		}
+		cs := open[r.Page]
 		if r.Kind.IsWrite() {
 			// A write from any processor terminates every open chain on the
-			// page.
-			for k := range open {
-				if k.page == r.Page {
-					closeChain(k)
-				}
+			// page; the emptied slice is kept for the page's next chains.
+			closeAll(cs)
+			if len(cs) > 0 {
+				open[r.Page] = cs[:0]
 			}
 			continue
 		}
-		open[key{r.Page, r.CPU}]++
+		i := 0
+		for i < len(cs) && cs[i].cpu != r.CPU {
+			i++
+		}
+		if i == len(cs) {
+			cs = append(cs, chain{cpu: r.CPU})
+			open[r.Page] = cs
+		}
+		cs[i].n++
 	}
-	for k := range open {
-		closeChain(k)
+	for _, cs := range open {
+		closeAll(cs)
 	}
 
-	var total uint64
-	for _, n := range chains {
-		total += n
-	}
-	out := ChainAnalysis{
-		Thresholds:      thresholds,
-		FractionAtLeast: make([]float64, len(thresholds)),
-		TotalDataMisses: total,
-	}
-	if total == 0 {
+	if out.TotalDataMisses == 0 {
 		return out
 	}
-	for i, th := range thresholds {
-		var in uint64
-		for _, n := range chains {
-			if n >= uint64(th) {
-				in += n
-			}
-		}
-		out.FractionAtLeast[i] = float64(in) / float64(total)
+	for i := range in {
+		out.FractionAtLeast[i] = float64(in[i]) / float64(out.TotalDataMisses)
 	}
 	return out
 }

@@ -71,6 +71,10 @@ func (g *Gen) Reset(seed uint64) {
 	g.phaseLeft = 0
 	g.nextBlock = 0
 	g.haveU, g.haveK = false, false
+	g.Code.reset()
+	if g.KCode != nil {
+		g.KCode.reset()
+	}
 	g.data = newWeighted(g.Data, g.Weights)
 	if len(g.KData) > 0 {
 		g.kdata = newWeighted(g.KData, g.KWeights)

@@ -10,14 +10,23 @@ import (
 // which processes attach sources to its region and with what write mix.
 type Source interface {
 	next(r *sim.Rand, cpu mem.CPUID) (page mem.GPage, line uint8, kind mem.AccessKind)
+	// reset fixes what next derives from the source's fields, such as its
+	// coin thresholds (sim.Threshold); Gen.Reset calls it before the first
+	// next.
+	reset()
 }
 
-func kindFor(r *sim.Rand, writeFrac float64) mem.AccessKind {
-	if writeFrac > 0 && r.Bool(writeFrac) {
+// kindFor flips the write coin of threshold writeTh. A zero threshold (a
+// write fraction of zero) skips the draw, as the float coin did.
+func kindFor(r *sim.Rand, writeTh uint64) mem.AccessKind {
+	if writeTh > 0 && r.Below(writeTh) {
 		return mem.DataWrite
 	}
 	return mem.DataRead
 }
+
+// halfTh is sim.Threshold(0.5): a fair coin.
+const halfTh = 1 << 52
 
 // Sequential walks the region line by line, wrapping — the streaming access
 // of simulators and numeric kernels. Good spatial locality, footprint-bound
@@ -26,7 +35,10 @@ type Sequential struct {
 	Reg       Region
 	WriteFrac float64
 	pos       int // line index within region
+	writeTh   uint64
 }
+
+func (s *Sequential) reset() { s.writeTh = sim.Threshold(s.WriteFrac) }
 
 func (s *Sequential) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
 	p := s.Reg.Page(s.pos / mem.LinesPerPage)
@@ -35,7 +47,7 @@ func (s *Sequential) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.Acces
 	if s.pos >= s.Reg.N*mem.LinesPerPage {
 		s.pos = 0
 	}
-	return p, l, kindFor(r, s.WriteFrac)
+	return p, l, kindFor(r, s.writeTh)
 }
 
 // Window accesses pages uniformly inside a window that drifts slowly across
@@ -49,7 +61,10 @@ type Window struct {
 	WriteFrac float64
 	base      int
 	count     int
+	writeTh   uint64
 }
+
+func (s *Window) reset() { s.writeTh = sim.Threshold(s.WriteFrac) }
 
 func (s *Window) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
 	w := s.W
@@ -68,7 +83,7 @@ func (s *Window) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKin
 		s.count = 0
 		s.base = (s.base + 1) % s.Reg.N
 	}
-	return p, uint8(r.Intn(mem.LinesPerPage)), kindFor(r, s.WriteFrac)
+	return p, uint8(r.Intn(mem.LinesPerPage)), kindFor(r, s.writeTh)
 }
 
 // Hot draws pages Zipf-distributed over the region — skewed shared access
@@ -78,15 +93,18 @@ type Hot struct {
 	WriteFrac float64
 	// Stride scatters the Zipf head across the region so that co-resident
 	// sources don't all hammer page 0.
-	Stride int
+	Stride  int
+	writeTh uint64
 }
+
+func (s *Hot) reset() { s.writeTh = sim.Threshold(s.WriteFrac) }
 
 func (s *Hot) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
 	i := r.Zipf(s.Reg.N)
 	if s.Stride > 1 {
 		i = (i * s.Stride) % s.Reg.N
 	}
-	return s.Reg.Page(i), uint8(r.Intn(mem.LinesPerPage)), kindFor(r, s.WriteFrac)
+	return s.Reg.Page(i), uint8(r.Intn(mem.LinesPerPage)), kindFor(r, s.writeTh)
 }
 
 // Chunk confines a process to its slice of a shared grid with occasional
@@ -99,6 +117,12 @@ type Chunk struct {
 	BoundaryFrac float64
 	WriteFrac    float64
 	pos          int
+	boundaryTh   uint64
+	writeTh      uint64
+}
+
+func (s *Chunk) reset() {
+	s.boundaryTh, s.writeTh = sim.Threshold(s.BoundaryFrac), sim.Threshold(s.WriteFrac)
 }
 
 func (s *Chunk) bounds() (lo, n int) {
@@ -120,9 +144,9 @@ func (s *Chunk) bounds() (lo, n int) {
 func (s *Chunk) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
 	lo, n := s.bounds()
 	var idx int
-	if s.BoundaryFrac > 0 && r.Bool(s.BoundaryFrac) {
+	if s.boundaryTh > 0 && r.Below(s.boundaryTh) {
 		// Touch a neighbour's edge page.
-		if s.Index > 0 && (s.Index == s.Total-1 || r.Bool(0.5)) {
+		if s.Index > 0 && (s.Index == s.Total-1 || r.Below(halfTh)) {
 			idx = lo - 1
 		} else {
 			idx = lo + n
@@ -135,7 +159,7 @@ func (s *Chunk) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind
 		s.pos++
 	}
 	// Walk lines sequentially within the chunk for realistic locality.
-	return s.Reg.Page(idx), uint8(s.pos % mem.LinesPerPage), kindFor(r, s.WriteFrac)
+	return s.Reg.Page(idx), uint8(s.pos % mem.LinesPerPage), kindFor(r, s.writeTh)
 }
 
 // Sync models fine-grain write-shared pages (the database's synchronization
@@ -144,10 +168,13 @@ func (s *Chunk) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind
 type Sync struct {
 	Reg       Region
 	WriteFrac float64
+	writeTh   uint64
 }
 
+func (s *Sync) reset() { s.writeTh = sim.Threshold(s.WriteFrac) }
+
 func (s *Sync) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
-	return s.Reg.Page(r.Intn(s.Reg.N)), uint8(r.Intn(mem.LinesPerPage)), kindFor(r, s.WriteFrac)
+	return s.Reg.Page(r.Intn(s.Reg.N)), uint8(r.Intn(mem.LinesPerPage)), kindFor(r, s.writeTh)
 }
 
 // PerCPU accesses the sub-range of the region belonging to the CPU the
@@ -159,7 +186,10 @@ type PerCPU struct {
 	CPUs      int
 	WriteFrac float64
 	pos       int
+	writeTh   uint64
 }
+
+func (s *PerCPU) reset() { s.writeTh = sim.Threshold(s.WriteFrac) }
 
 func (s *PerCPU) next(r *sim.Rand, cpu mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
 	per := s.Reg.N / s.CPUs
@@ -172,7 +202,7 @@ func (s *PerCPU) next(r *sim.Rand, cpu mem.CPUID) (mem.GPage, uint8, mem.AccessK
 		idx = s.Reg.N - 1
 	}
 	s.pos++
-	return s.Reg.Page(idx), uint8(s.pos % mem.LinesPerPage), kindFor(r, s.WriteFrac)
+	return s.Reg.Page(idx), uint8(s.pos % mem.LinesPerPage), kindFor(r, s.writeTh)
 }
 
 // CodeWalk emits instruction fetches. A HotFrac fraction of fetches cycle
@@ -196,46 +226,54 @@ type CodeWalk struct {
 	pos       int
 	hotPos    int
 	count     int
+	hotTh     uint64
+	// The region's, the hot loop's and the cold window's lengths in lines,
+	// with HotLines and LoopLines defaulted and clamped to the region.
+	total, hot, loop int
+}
+
+func (s *CodeWalk) reset() {
+	s.hotTh = sim.Threshold(s.HotFrac)
+	s.total = s.Reg.N * mem.LinesPerPage
+	s.hot = s.HotLines
+	if s.hot <= 0 {
+		s.hot = 64
+	}
+	if s.hot > s.total {
+		s.hot = s.total
+	}
+	s.loop = s.LoopLines
+	if s.loop <= 0 || s.loop > s.total {
+		s.loop = s.total
+	}
 }
 
 func (s *CodeWalk) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
-	total := s.Reg.N * mem.LinesPerPage
-	if s.HotFrac > 0 && r.Bool(s.HotFrac) {
-		hot := s.HotLines
-		if hot <= 0 {
-			hot = 64
-		}
-		if hot > total {
-			hot = total
-		}
+	if s.hotTh > 0 && r.Below(s.hotTh) {
 		// base < total and hotPos < hot <= total, so one conditional
 		// subtract replaces the modulo (an idiv on every hot fetch).
 		line := s.base + s.hotPos
-		if line >= total {
-			line -= total
+		if line >= s.total {
+			line -= s.total
 		}
 		s.hotPos++
-		if s.hotPos >= hot {
+		if s.hotPos >= s.hot {
 			s.hotPos = 0
 		}
 		return s.Reg.Page(line / mem.LinesPerPage), uint8(line % mem.LinesPerPage), mem.InstrFetch
 	}
-	loop := s.LoopLines
-	if loop <= 0 || loop > total {
-		loop = total
-	}
 	line := s.base + s.pos
-	if line >= total {
-		line -= total
+	if line >= s.total {
+		line -= s.total
 	}
 	s.pos++
-	if s.pos >= loop {
+	if s.pos >= s.loop {
 		s.pos = 0
 	}
 	s.count++
 	if s.JumpEvery > 0 && s.count >= s.JumpEvery {
 		s.count = 0
-		s.base = r.Intn(total)
+		s.base = r.Intn(s.total)
 		s.hotPos = 0
 	}
 	return s.Reg.Page(line / mem.LinesPerPage), uint8(line % mem.LinesPerPage), mem.InstrFetch
@@ -263,6 +301,7 @@ func newWeighted(srcs []Source, weights []float64) *weighted {
 	w := &weighted{srcs: srcs, cum: make([]uint64, len(weights))}
 	for i := range cum {
 		w.cum[i] = sim.Threshold(cum[i] / sum)
+		srcs[i].reset()
 	}
 	return w
 }

@@ -71,18 +71,25 @@ type Region struct {
 	WireStripe bool
 }
 
-// Page returns the i-th page of the region. The out-of-range panic lives in
-// a separate function so Page itself stays within the inlining budget — it
-// runs once per generated reference.
+// Page returns the i-th page of the region. It runs once per generated
+// reference, so it must stay within the inlining budget: the out-of-range
+// case panics with a pageOutOfRange value, formatted only when printed,
+// rather than calling a function (a call alone costs most of the budget).
 func (r Region) Page(i int) mem.GPage {
-	if i < 0 || i >= r.N {
-		r.pageOutOfRange(i)
+	if uint(i) >= uint(r.N) {
+		panic(pageOutOfRange{r.Name, r.N, i})
 	}
 	return r.Start + mem.GPage(i)
 }
 
-func (r Region) pageOutOfRange(i int) {
-	panic(fmt.Sprintf("workload: page %d outside region %s (%d pages)", i, r.Name, r.N))
+// pageOutOfRange is Region.Page's panic value.
+type pageOutOfRange struct {
+	region string
+	n, i   int
+}
+
+func (e pageOutOfRange) Error() string {
+	return fmt.Sprintf("workload: page %d outside region %s (%d pages)", e.i, e.region, e.n)
 }
 
 // Layout hands out dense page ranges.

@@ -188,6 +188,7 @@ func TestSourcesRespectRegions(t *testing.T) {
 	}
 	r := newTestRand()
 	for si, src := range srcs {
+		src.reset()
 		for i := 0; i < 5000; i++ {
 			page, line, kind := src.next(r, mem.CPUID(i%4))
 			if page < reg.Start || page >= reg.Start+mem.GPage(reg.N) {
@@ -207,6 +208,7 @@ func TestCodeWalkEmitsFetchesInBounds(t *testing.T) {
 	l := &Layout{}
 	reg := l.NewRegion("c", 6, CodeRegion, true)
 	w := &CodeWalk{Reg: reg, HotFrac: 0.5, HotLines: 32, LoopLines: 64, JumpEvery: 100}
+	w.reset()
 	r := newTestRand()
 	for i := 0; i < 10000; i++ {
 		page, _, kind := w.next(r, 0)
