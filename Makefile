@@ -59,21 +59,25 @@ golden-1cpu:
 # The probe-first read path (core's access) skips the full TLB and L1 lookups
 # when their MRU-way probes hit. Its exactness rests on these tests: each
 # probe, falling back to Lookup on a miss, leaves the same answers, stats and
-# ways as Lookup alone, and no wired page ever enters a TLB.
-PROBE_TESTS = TestHitMRUMatchesLookup|TestWiredPagesNeverInTLB
+# ways as Lookup alone, and no wired page ever enters a TLB. The frame
+# allocator fills its free lists on demand; TestAllocatorMatchesEager holds
+# it to the eager pre-filled allocator it replaced, call for call.
+PROBE_TESTS = TestHitMRUMatchesLookup|TestWiredPagesNeverInTLB|TestAllocatorMatchesEager
 
 probe-check:
 	$(call named,./internal/tlb,TestHitMRUMatchesLookup)
 	$(call named,./internal/cache,TestHitMRUMatchesLookup)
 	$(call named,./internal/core,TestWiredPagesNeverInTLB)
-	$(GO) test -count=1 -run '^($(PROBE_TESTS))$$' ./internal/tlb ./internal/cache ./internal/core
+	$(call named,./internal/kernel/alloc,TestAllocatorMatchesEager)
+	$(GO) test -count=1 -run '^($(PROBE_TESTS))$$' ./internal/tlb ./internal/cache ./internal/core \
+		./internal/kernel/alloc
 
 # The experiment harness is concurrent (report.Harness singleflight memo,
 # per-experiment worker pools); keep the race detector in the loop. The
 # second run re-executes the contention hammers by name with -count=1 so a
 # cached pass can never mask a freshly introduced race in the memo or the
 # panic-isolation path.
-RACE_REPORT = TestSingleflightUnderConcurrency|TestHarnessPanicIsolation|TestHarnessFailureHammer|TestHarnessFailureEvictedFromMemo
+RACE_REPORT = TestSingleflightUnderConcurrency|TestHarnessPanicIsolation|TestHarnessFailureHammer|TestHarnessFailureStaysMemoized|TestHarnessDeterministicFailureRunsOnce|TestHarnessCancelledFailureEvicted
 RACE_OBS = TestRecorderConcurrentRecordAndDump
 
 race:
@@ -92,12 +96,15 @@ fault-smoke:
 
 # One cheap iteration of the trace-simulator benchmark proves the bench
 # harness still builds and runs end to end; one of BenchmarkReadChains keeps
-# Figure 4's chain analysis on a write-heavy trace in view.
+# Figure 4's chain analysis on a write-heavy trace in view, and one of
+# BenchmarkNewSystem the B/op of building a small machine.
 bench-smoke:
 	$(call named,.,BenchmarkTraceSimThroughput)
 	$(call named,./internal/trace,BenchmarkReadChains)
+	$(call named,./internal/core,BenchmarkNewSystem)
 	BENCH_SCALE=0.1 $(GO) test -run '^$$' -bench BenchmarkTraceSimThroughput -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkReadChains -benchtime 1x ./internal/trace
+	$(GO) test -run '^$$' -bench BenchmarkNewSystem -benchmem -benchtime 1x ./internal/core
 
 # The disabled-tracer benchmark doubles as the proof that instrumentation
 # costs one branch when off; one iteration keeps CI honest about it building.

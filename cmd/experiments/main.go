@@ -138,8 +138,10 @@ func main() {
 
 	start := time.Now()
 	var failedExps []string
-	// newFailures returns the failed runs not returned before: those of the
-	// experiment that just ran, since experiments run one after another.
+	// newFailures returns, once each, the failed runs behind the records not
+	// seen before: those of the experiment that just ran, since experiments
+	// run one after another. A failed run stays in the memo, so a later
+	// experiment that asks for it again gets a memo hit, and fails with it.
 	type attempt struct {
 		id    string
 		n     int
@@ -147,11 +149,19 @@ func main() {
 	}
 	seen := map[attempt]bool{}
 	newFailures := func() []report.Record {
+		recs := h.Records()
+		final := map[string]report.Record{}
+		for _, r := range report.FailedRuns(recs) {
+			final[r.ID] = r
+		}
 		var out []report.Record
-		for _, r := range report.FailedRuns(h.Records()) {
+		for _, r := range recs {
 			if k := (attempt{r.ID, r.Attempts, r.WallStart}); !seen[k] {
 				seen[k] = true
-				out = append(out, r)
+				if f, failed := final[r.ID]; failed {
+					delete(final, r.ID) // list each run once
+					out = append(out, f)
+				}
 			}
 		}
 		return out

@@ -23,8 +23,9 @@ type record struct {
 }
 
 // TestRecordOutputsAgree runs the built binary end to end on Table 3 at a
-// tiny scale. With a 1 ns run timeout every simulation times out: the run
-// exits 1, every run the manifest lists is in the -metrics file as a timeout
+// tiny scale. With a 1 ns run timeout every simulation times out, once: the
+// run exits 1, each failed run is simulated once and served from the memo
+// when Table 3 asks for it again, every run the manifest lists is in the -metrics file as a timeout
 // record under the same 16-hex-digit id, every record's slices are in the
 // -spans trace, and Table 3 renders as FAILED, naming the failed runs, and is
 // listed in the manifest's experiments_failed. Without the timeout the same
@@ -65,6 +66,17 @@ func TestRecordOutputsAgree(t *testing.T) {
 			t.Fatalf("record id %q is not 16 hex digits", r.ID)
 		}
 		byID[r.ID] = append(byID[r.ID], r)
+	}
+
+	// A failed run stays in the memo: T3 asks for each of its runs twice,
+	// and each is simulated once.
+	for id, rs := range byID {
+		if n := countAttempts(rs); n != 1 {
+			t.Fatalf("run %s was simulated %d times, want 1: %+v", id, n, rs)
+		}
+	}
+	if want := fmt.Sprintf(": %d simulations run, %d served from memo", len(byID), len(byID)); !strings.Contains(out, want) {
+		t.Fatalf("summary does not report %q:\n%s", want, out)
 	}
 
 	var manifest struct {
@@ -142,6 +154,18 @@ func TestRecordOutputsAgree(t *testing.T) {
 	if done == 0 {
 		t.Fatal("no done record")
 	}
+}
+
+// countAttempts counts the first attempts among one run's records: how many
+// times the run was simulated.
+func countAttempts(rs []record) int {
+	n := 0
+	for _, r := range rs {
+		if r.State != "memo-hit" && r.Attempts == 1 {
+			n++
+		}
+	}
+	return n
 }
 
 func readRecords(t *testing.T, path string) []record {

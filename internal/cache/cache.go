@@ -6,13 +6,14 @@ import (
 	"ccnuma/internal/mem"
 )
 
-// noTag marks an empty way.
-const noTag = mem.GLine(^uint64(0))
+// noTag marks an empty way. NewValidity refuses tables of 2^32-1 lines or
+// more, so no line the caches can hold truncates to it.
+const noTag = ^uint32(0)
 
+// entry is one 8-byte way; stamp is Validity.stamp of the line at fill time.
 type entry struct {
-	tag     mem.GLine
-	version uint32
-	epoch   uint32
+	tag   uint32 // uint32(line), or noTag
+	stamp uint32
 }
 
 // Cache is one set-associative cache level. It is a behavioural model: it
@@ -77,12 +78,11 @@ func (c *Cache) set(l mem.GLine) []entry {
 }
 
 // HitMRU probes only the MRU way (way 0) of line l's set. A valid copy
-// there (current version and epoch) counts a hit and returns true; anything
+// there (current stamp) counts a hit and returns true; anything
 // else changes nothing, so the caller can fall back to Lookup with identical
 // state and statistics (Lookup then drops a stale way-0 copy).
 func (c *Cache) HitMRU(l mem.GLine) bool {
-	if e := &c.ways[c.mru(l)]; e.tag == l && e.version == c.val.LineVersion(l) &&
-		e.epoch == c.val.PageEpoch(l.Page()) {
+	if e := &c.ways[c.mru(l)]; e.tag == uint32(l) && e.stamp == c.val.stamp(l) {
 		c.hits++
 		return true
 	}
@@ -90,27 +90,26 @@ func (c *Cache) HitMRU(l mem.GLine) bool {
 }
 
 // Lookup probes the cache for line l. On a hit the entry is refreshed to
-// most-recently-used and true is returned. A cached copy whose version or
-// epoch stamp is out of date counts as a miss (the stale copy is dropped).
+// most-recently-used and true is returned. A cached copy whose stamp is out
+// of date counts as a miss (the stale copy is dropped).
 func (c *Cache) Lookup(l mem.GLine) bool {
 	// Way 0 is MRU and takes the overwhelming majority of hits; resolving it
 	// first skips the move-to-front shuffle (a no-op at i=0) entirely.
 	if c.HitMRU(l) {
 		return true
 	}
-	set := c.set(l)
-	if set[0].tag == l { // present but stale
+	set, tag := c.set(l), uint32(l)
+	if set[0].tag == tag { // present but stale
 		set[0].tag = noTag
 		c.misses++
 		c.stalees++
 		return false
 	}
 	for i := 1; i < len(set); i++ {
-		if set[i].tag != l {
+		if set[i].tag != tag {
 			continue
 		}
-		if set[i].version != c.val.LineVersion(l) ||
-			set[i].epoch != c.val.PageEpoch(l.Page()) {
+		if set[i].stamp != c.val.stamp(l) {
 			// Stale copy: invalidate and miss.
 			set[i].tag = noTag
 			c.misses++
@@ -127,16 +126,17 @@ func (c *Cache) Lookup(l mem.GLine) bool {
 	return false
 }
 
-// Insert fills line l with the current validity stamps, filling an invalid
-// way if one exists and evicting the LRU way otherwise. version is the
-// stamp to record — pass the post-bump version for writes and the current
-// version for read fills.
+// Insert fills line l stamped with version and the page's current epoch,
+// filling an invalid way if one exists and evicting the LRU way otherwise.
+// version must be the line's current version — the post-bump version for
+// writes and the unbumped one for read fills — so the recorded stamp is
+// Validity.stamp(l) at fill time.
 func (c *Cache) Insert(l mem.GLine, version uint32) {
 	set := c.set(l)
+	e := entry{tag: uint32(l), stamp: version + c.val.pageEpoch[l.Page()]}
 	// If already present (e.g. write-update after a hit) refresh in place.
 	for i := range set {
-		if set[i].tag == l {
-			e := entry{tag: l, version: version, epoch: c.val.PageEpoch(l.Page())}
+		if set[i].tag == e.tag {
 			copy(set[1:i+1], set[:i])
 			set[0] = e
 			return
@@ -152,18 +152,16 @@ func (c *Cache) Insert(l mem.GLine, version uint32) {
 		}
 	}
 	copy(set[1:victim+1], set[:victim])
-	set[0] = entry{tag: l, version: version, epoch: c.val.PageEpoch(l.Page())}
+	set[0] = e
 }
 
 // Contains reports presence of a currently-valid copy without touching LRU
 // state or statistics. It is used by tests and by the TLB-holder tracking
 // ablation.
 func (c *Cache) Contains(l mem.GLine) bool {
-	set := c.set(l)
+	set, tag := c.set(l), uint32(l)
 	for i := range set {
-		if set[i].tag == l &&
-			set[i].version == c.val.LineVersion(l) &&
-			set[i].epoch == c.val.PageEpoch(l.Page()) {
+		if set[i].tag == tag && set[i].stamp == c.val.stamp(l) {
 			return true
 		}
 	}

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ccnuma/internal/mem"
 	"ccnuma/internal/sim"
@@ -12,6 +13,14 @@ func newTestCache(t *testing.T, size, assoc, pages int) (*Cache, *Validity) {
 	t.Helper()
 	v := NewValidity(pages, 1)
 	return New("test", size, assoc, v), v
+}
+
+// TestCacheEntryIsEightBytes pins a way at a uint32 tag and a uint32 stamp:
+// the ways are most of a cache's memory.
+func TestCacheEntryIsEightBytes(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 8 {
+		t.Fatalf("cache way is %d bytes, want 8", got)
+	}
 }
 
 func TestCacheMissThenHit(t *testing.T) {

@@ -18,7 +18,11 @@
 // master's physical address is unchanged.
 package cache
 
-import "ccnuma/internal/mem"
+import (
+	"fmt"
+
+	"ccnuma/internal/mem"
+)
 
 // Validity holds the stamps cache entries are checked against: one line
 // version per line and one epoch per page, in flat machine-wide tables
@@ -26,18 +30,25 @@ import "ccnuma/internal/mem"
 // cache in the machine.
 //
 // Releasing a page does not reset its stamps: cached entries carrying the
-// old version/epoch pairs may outlive the residence, and resetting the
-// stamps would let such a stale entry re-validate against a fresh zero
-// epoch.
+// old stamp sums may outlive the residence, and resetting the stamps would
+// let such a stale entry re-validate against a fresh zero epoch.
 type Validity struct {
 	lineVersion []uint32 // mem.LinesPerPage entries per page
 	pageEpoch   []uint32
 }
 
+// maxLines bounds the line table: a cache way holds its line as a uint32
+// tag, and ^uint32(0) marks an empty way.
+const maxLines = 1<<32 - 1
+
 // NewValidity sizes the stamp tables for pages logical pages. The node
 // count does not shape the tables; it is accepted so callers describe the
-// machine the same way everywhere.
+// machine the same way everywhere. It panics, before allocating, when the
+// tables would index maxLines lines or more.
 func NewValidity(pages, nodes int) *Validity {
+	if uint64(pages) > maxLines/mem.LinesPerPage { // a negative count wraps high
+		panic(fmt.Sprintf("cache: %d pages hold %d lines or more", pages, uint64(maxLines)))
+	}
 	return &Validity{
 		lineVersion: make([]uint32, pages*mem.LinesPerPage),
 		pageEpoch:   make([]uint32, pages),
@@ -58,6 +69,15 @@ func (v *Validity) LineVersion(l mem.GLine) uint32 { return v.lineVersion[l] }
 func (v *Validity) BumpLine(l mem.GLine) uint32 {
 	v.lineVersion[l]++
 	return v.lineVersion[l]
+}
+
+// stamp is the validity stamp a current copy of line l carries: its version
+// plus its page's epoch. Both counters only grow and a release never resets
+// them, so the sum equals a fill-time stamp exactly when neither has moved
+// since; it wraps only after 2^32 bumps of one line and its page, the limit
+// the separate 32-bit counters already had.
+func (v *Validity) stamp(l mem.GLine) uint32 {
+	return v.lineVersion[l] + v.pageEpoch[l.Page()]
 }
 
 // PageEpoch returns the current placement epoch of a page.

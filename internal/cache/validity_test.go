@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 
 	"ccnuma/internal/mem"
@@ -99,5 +100,28 @@ func TestValidityUnhomedBumps(t *testing.T) {
 	if v.PageEpoch(p) != 1 || v.LineVersion(p.Line(0)) != 1 {
 		t.Fatalf("placing the page reset its stamps: epoch %d, line version %d",
 			v.PageEpoch(p), v.LineVersion(p.Line(0)))
+	}
+}
+
+// TestNewValidityRefusesUntaggableTables pins the bound that lets a cache
+// way hold its line as a uint32 tag: a table of 2^32-1 lines or more is
+// refused with a panic before anything is allocated (a table that size
+// would be 16 GB of line versions).
+func TestNewValidityRefusesUntaggableTables(t *testing.T) {
+	for _, pages := range []int{1 << 27, 1<<27 + 1, 1 << 40, -1} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewValidity(%d pages) did not panic", pages)
+				}
+			}()
+			NewValidity(pages, 1)
+		}()
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("NewValidity(%d pages) allocated %d bytes before refusing", pages, grew)
+		}
 	}
 }

@@ -131,3 +131,19 @@ func BenchmarkStepHotPath(b *testing.B) {
 		sys.eng.Step()
 	}
 }
+
+// BenchmarkNewSystem measures building a machine: engineering at scale 0.01
+// under Mig/Rep, the shape of a small served what-if, where the fixed cost
+// of the caches, validity tables and frame allocator dominates. B/op is the
+// headline number; building each spec is left out of the timing.
+func BenchmarkNewSystem(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		spec := workload.Engineering(0.01, 1)
+		b.StartTimer()
+		if _, err := NewSystem(spec, Options{Seed: 1, Dynamic: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,8 +1,9 @@
-// Package alloc is the per-node physical page allocator. Each node owns a
-// free list of its local frames; the pager allocates strictly on the node
-// the policy chose (a failure is the "No Page" outcome of Table 4), while
-// ordinary page faults may fall back to other nodes so the workload itself
-// never deadlocks on a full node.
+// Package alloc is the per-node physical page allocator. Each node owns its
+// local frames: a stack of freed frames over a fresh watermark that hands
+// out never-allocated frames lowest first, so nothing is filled up front.
+// The pager allocates strictly on the node the policy chose (a failure is
+// the "No Page" outcome of Table 4), while ordinary page faults may fall
+// back to other nodes so the workload itself never deadlocks on a full node.
 //
 // The allocator also tracks the replication space overhead of Section 7.2.3:
 // frames are tagged by purpose, and peak replica usage is recorded.
@@ -41,12 +42,12 @@ type Allocator struct {
 	// It must be deterministic for reproducible runs.
 	FailHook func(n mem.NodeID) bool
 
-	nodes     int
-	perNode   int
-	free      [][]mem.PFN // per-node free stacks
-	purpose   []Purpose   // per frame, valid only while allocated
-	allocated []bool
-	offline   []bool // drained nodes: allocations refused, frames stay resident
+	nodes   int
+	perNode int
+	free    [][]mem.PFN // per-node stacks of freed frames
+	fresh   []int       // per node: frames never allocated, the top fresh[n] of its range
+	state   []uint8     // per frame: 0 free, 1+Purpose allocated
+	offline []bool      // drained nodes: allocations refused, frames stay resident
 
 	baseInUse    int
 	replicaInUse int
@@ -56,23 +57,19 @@ type Allocator struct {
 	transient    uint64 // allocations failed by the FailHook
 }
 
-// New builds an allocator for nodes nodes of perNode frames each.
+// New builds an allocator for nodes nodes of perNode frames each. No free
+// list is filled up front: every frame starts fresh.
 func New(nodes, perNode int) *Allocator {
 	a := &Allocator{
-		nodes:     nodes,
-		perNode:   perNode,
-		free:      make([][]mem.PFN, nodes),
-		purpose:   make([]Purpose, nodes*perNode),
-		allocated: make([]bool, nodes*perNode),
-		offline:   make([]bool, nodes),
+		nodes:   nodes,
+		perNode: perNode,
+		free:    make([][]mem.PFN, nodes),
+		fresh:   make([]int, nodes),
+		state:   make([]uint8, nodes*perNode),
+		offline: make([]bool, nodes),
 	}
-	for n := 0; n < nodes; n++ {
-		stack := make([]mem.PFN, 0, perNode)
-		// Push high frames first so low frames pop first (stable, readable).
-		for f := perNode - 1; f >= 0; f-- {
-			stack = append(stack, mem.PFN(n*perNode+f))
-		}
-		a.free[n] = stack
+	for n := range a.fresh {
+		a.fresh[n] = perNode
 	}
 	return a
 }
@@ -83,14 +80,14 @@ func (a *Allocator) NodeOf(f mem.PFN) mem.NodeID {
 }
 
 // FreeOn returns the number of free frames on a node.
-func (a *Allocator) FreeOn(n mem.NodeID) int { return len(a.free[n]) }
+func (a *Allocator) FreeOn(n mem.NodeID) int { return len(a.free[n]) + a.fresh[n] }
 
 // AllocOn allocates a frame strictly on node n. It returns mem.NoFrame when
 // the node's memory is exhausted, offline, or the FailHook fails the attempt
 // (the pager records this as a No-Page failure, matching the paper's
 // behaviour of not falling back).
 func (a *Allocator) AllocOn(n mem.NodeID, p Purpose) mem.PFN {
-	if a.offline[n] || len(a.free[n]) == 0 {
+	if a.offline[n] || a.FreeOn(n) == 0 {
 		a.failures++
 		return mem.NoFrame
 	}
@@ -111,13 +108,13 @@ func (a *Allocator) AllocAnywhere(pref mem.NodeID, p Purpose) (mem.PFN, error) {
 		a.transient++
 		return mem.NoFrame, ErrTransient
 	}
-	if !a.offline[pref] && len(a.free[pref]) > 0 {
+	if !a.offline[pref] && a.FreeOn(pref) > 0 {
 		return a.pop(pref, p), nil
 	}
 	best, bestFree := mem.NodeID(-1), 0
 	for n := 0; n < a.nodes; n++ {
-		if !a.offline[n] && len(a.free[n]) > bestFree {
-			best, bestFree = mem.NodeID(n), len(a.free[n])
+		if free := a.FreeOn(mem.NodeID(n)); !a.offline[n] && free > bestFree {
+			best, bestFree = mem.NodeID(n), free
 		}
 	}
 	if best < 0 {
@@ -127,13 +124,26 @@ func (a *Allocator) AllocAnywhere(pref mem.NodeID, p Purpose) (mem.PFN, error) {
 	return a.pop(best, p), nil
 }
 
-// pop removes node n's top free frame (the node must have one).
+// pop takes node n's most recently freed frame, or else its lowest fresh
+// one (the node must have a free frame). Freed frames always sit above the
+// fresh ones, so this is the order of one stack pre-filled high to low.
 func (a *Allocator) pop(n mem.NodeID, p Purpose) mem.PFN {
-	stack := a.free[n]
-	f := stack[len(stack)-1]
-	a.free[n] = stack[:len(stack)-1]
+	var f mem.PFN
+	if stack := a.free[n]; len(stack) > 0 {
+		f = stack[len(stack)-1]
+		a.free[n] = stack[:len(stack)-1]
+	} else {
+		f = mem.PFN(a.watermark(n))
+		a.fresh[n]--
+	}
 	a.take(f, p)
 	return f
+}
+
+// watermark is the lowest fresh frame of node n: every frame below it has
+// been allocated at least once, none at or above it ever has.
+func (a *Allocator) watermark(n mem.NodeID) int {
+	return (int(n)+1)*a.perNode - a.fresh[n]
 }
 
 // SetOffline marks node n drained (or restores it): while offline, AllocOn
@@ -145,11 +155,10 @@ func (a *Allocator) SetOffline(n mem.NodeID, off bool) { a.offline[n] = off }
 func (a *Allocator) Offline(n mem.NodeID) bool { return a.offline[n] }
 
 func (a *Allocator) take(f mem.PFN, p Purpose) {
-	if a.allocated[f] {
+	if a.state[f] != 0 {
 		panic(fmt.Sprintf("alloc: frame %d double-allocated", f))
 	}
-	a.allocated[f] = true
-	a.purpose[f] = p
+	a.state[f] = 1 + uint8(p)
 	switch p {
 	case Replica:
 		a.replicaInUse++
@@ -166,11 +175,12 @@ func (a *Allocator) take(f mem.PFN, p Purpose) {
 
 // Free returns a frame to its node's free list.
 func (a *Allocator) Free(f mem.PFN) {
-	if !a.allocated[f] {
+	if a.state[f] == 0 {
 		panic(fmt.Sprintf("alloc: frame %d double-freed", f))
 	}
-	a.allocated[f] = false
-	switch a.purpose[f] {
+	p := Purpose(a.state[f] - 1)
+	a.state[f] = 0
+	switch p {
 	case Replica:
 		a.replicaInUse--
 	default:
@@ -181,32 +191,28 @@ func (a *Allocator) Free(f mem.PFN) {
 }
 
 // Allocated reports whether frame f is currently allocated.
-func (a *Allocator) Allocated(f mem.PFN) bool { return a.allocated[f] }
+func (a *Allocator) Allocated(f mem.PFN) bool { return a.state[f] != 0 }
 
 // UsageOn returns one node's memory picture: free frames, and allocated
 // frames split into master copies and replicas (the sampler's per-node
 // time-series).
 func (a *Allocator) UsageOn(n mem.NodeID) (free, base, replica int) {
-	free = len(a.free[n])
-	lo, hi := int(n)*a.perNode, (int(n)+1)*a.perNode
-	for f := lo; f < hi; f++ {
-		if !a.allocated[f] {
-			continue
-		}
-		if a.purpose[f] == Replica {
-			replica++
-		} else {
+	for _, st := range a.state[int(n)*a.perNode : a.watermark(n)] {
+		switch st {
+		case 1 + uint8(Base):
 			base++
+		case 1 + uint8(Replica):
+			replica++
 		}
 	}
-	return free, base, replica
+	return a.FreeOn(n), base, replica
 }
 
 // Pressure reports whether node n is under memory pressure: fewer than
 // lowWater frames free, or the node drained entirely. The policy stops
 // replicating onto pressured nodes.
 func (a *Allocator) Pressure(n mem.NodeID, lowWater int) bool {
-	return a.offline[n] || len(a.free[n]) < lowWater
+	return a.offline[n] || a.FreeOn(n) < lowWater
 }
 
 // Stats describes allocator usage.
@@ -246,18 +252,19 @@ func (s Stats) ReplicaOverhead() float64 {
 
 // CheckInvariant verifies free+allocated == capacity on every node and
 // returns an error describing the first violation (nil when consistent).
+// Frames at or above a node's fresh watermark were never allocated, so the
+// scan stops there.
 func (a *Allocator) CheckInvariant() error {
-	for n := 0; n < a.nodes; n++ {
+	for n := mem.NodeID(0); int(n) < a.nodes; n++ {
 		inUse := 0
-		lo, hi := n*a.perNode, (n+1)*a.perNode
-		for f := lo; f < hi; f++ {
-			if a.allocated[f] {
+		for _, st := range a.state[int(n)*a.perNode : a.watermark(n)] {
+			if st != 0 {
 				inUse++
 			}
 		}
-		if inUse+len(a.free[n]) != a.perNode {
+		if inUse+a.FreeOn(n) != a.perNode {
 			return fmt.Errorf("alloc: node %d holds %d allocated + %d free != %d frames",
-				n, inUse, len(a.free[n]), a.perNode)
+				n, inUse, a.FreeOn(n), a.perNode)
 		}
 	}
 	return nil

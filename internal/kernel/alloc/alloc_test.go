@@ -246,3 +246,201 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// eagerAllocator is the allocator as it was before free lists were filled
+// on demand: every node's free stack pre-filled high to low, and a purpose
+// and an allocated flag per frame. TestAllocatorMatchesEager holds the
+// on-demand allocator to its every answer.
+type eagerAllocator struct {
+	failHook  func(n mem.NodeID) bool
+	nodes     int
+	perNode   int
+	free      [][]mem.PFN
+	purpose   []Purpose
+	allocated []bool
+	offline   []bool
+	stats     Stats
+}
+
+func newEager(nodes, perNode int) *eagerAllocator {
+	a := &eagerAllocator{
+		nodes:     nodes,
+		perNode:   perNode,
+		free:      make([][]mem.PFN, nodes),
+		purpose:   make([]Purpose, nodes*perNode),
+		allocated: make([]bool, nodes*perNode),
+		offline:   make([]bool, nodes),
+	}
+	for n := 0; n < nodes; n++ {
+		for f := perNode - 1; f >= 0; f-- {
+			a.free[n] = append(a.free[n], mem.PFN(n*perNode+f))
+		}
+	}
+	return a
+}
+
+func (a *eagerAllocator) allocOn(n mem.NodeID, p Purpose) mem.PFN {
+	if a.offline[n] || len(a.free[n]) == 0 {
+		a.stats.Failures++
+		return mem.NoFrame
+	}
+	if a.failHook(n) {
+		a.stats.Failures++
+		a.stats.TransientFailures++
+		return mem.NoFrame
+	}
+	return a.pop(n, p)
+}
+
+func (a *eagerAllocator) allocAnywhere(pref mem.NodeID, p Purpose) (mem.PFN, error) {
+	if a.failHook(pref) {
+		a.stats.TransientFailures++
+		return mem.NoFrame, ErrTransient
+	}
+	if !a.offline[pref] && len(a.free[pref]) > 0 {
+		return a.pop(pref, p), nil
+	}
+	best, bestFree := mem.NodeID(-1), 0
+	for n := 0; n < a.nodes; n++ {
+		if !a.offline[n] && len(a.free[n]) > bestFree {
+			best, bestFree = mem.NodeID(n), len(a.free[n])
+		}
+	}
+	if best < 0 {
+		a.stats.Failures++
+		return mem.NoFrame, ErrNoFrames
+	}
+	return a.pop(best, p), nil
+}
+
+func (a *eagerAllocator) pop(n mem.NodeID, p Purpose) mem.PFN {
+	stack := a.free[n]
+	f := stack[len(stack)-1]
+	a.free[n] = stack[:len(stack)-1]
+	a.allocated[f], a.purpose[f] = true, p
+	s := &a.stats
+	if p == Replica {
+		s.ReplicaInUse++
+		s.PeakReplica = max(s.PeakReplica, s.ReplicaInUse)
+	} else {
+		s.BaseInUse++
+		s.PeakBase = max(s.PeakBase, s.BaseInUse)
+	}
+	return f
+}
+
+func (a *eagerAllocator) freeFrame(f mem.PFN) {
+	a.allocated[f] = false
+	if a.purpose[f] == Replica {
+		a.stats.ReplicaInUse--
+	} else {
+		a.stats.BaseInUse--
+	}
+	n := int(f) / a.perNode
+	a.free[n] = append(a.free[n], f)
+}
+
+func (a *eagerAllocator) usageOn(n mem.NodeID) (free, base, replica int) {
+	for f := int(n) * a.perNode; f < (int(n)+1)*a.perNode; f++ {
+		switch {
+		case !a.allocated[f]:
+		case a.purpose[f] == Replica:
+			replica++
+		default:
+			base++
+		}
+	}
+	return len(a.free[n]), base, replica
+}
+
+// TestAllocatorMatchesEager drives the on-demand allocator and the eager
+// reference with one random stream of AllocOn, AllocAnywhere, Free and
+// SetOffline calls, each under its own copy of one deterministic FailHook,
+// on small geometries that run nodes dry. After every call the frames and
+// errors returned must agree, and so must FreeOn, UsageOn, Pressure,
+// Snapshot and CheckInvariant.
+func TestAllocatorMatchesEager(t *testing.T) {
+	// hook fails one call in seven, by a count of its own calls, so two
+	// allocators that consult it at the same points fail the same calls.
+	hook := func() func(mem.NodeID) bool {
+		calls := 0
+		return func(n mem.NodeID) bool {
+			calls++
+			return (calls+int(n))%7 == 0
+		}
+	}
+	seen := map[error]int{}
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := sim.NewRand(seed)
+		nodes, perNode := 1+r.Intn(4), 1+r.Intn(8)
+		got, want := New(nodes, perNode), newEager(nodes, perNode)
+		got.FailHook, want.failHook = hook(), hook()
+		var live []mem.PFN
+		for i := 0; i < 600; i++ {
+			n := mem.NodeID(r.Intn(nodes))
+			p := Base
+			if r.Bool(0.3) {
+				p = Replica
+			}
+			var op string
+			switch k := r.Intn(10); {
+			case k < 3:
+				op = "AllocOn"
+				f, g := got.AllocOn(n, p), want.allocOn(n, p)
+				if f != g {
+					t.Fatalf("seed %d op %d: AllocOn(%d) = %d, eager %d", seed, i, n, f, g)
+				}
+				if f != mem.NoFrame {
+					live = append(live, f)
+				}
+			case k < 6:
+				op = "AllocAnywhere"
+				f, err := got.AllocAnywhere(n, p)
+				g, gerr := want.allocAnywhere(n, p)
+				if f != g || err != gerr {
+					t.Fatalf("seed %d op %d: AllocAnywhere(%d) = %d, %v; eager %d, %v", seed, i, n, f, err, g, gerr)
+				}
+				seen[err]++
+				if err == nil {
+					live = append(live, f)
+				}
+			case k < 9:
+				op = "Free"
+				if len(live) == 0 {
+					continue
+				}
+				j := r.Intn(len(live))
+				got.Free(live[j])
+				want.freeFrame(live[j])
+				live = append(live[:j], live[j+1:]...)
+			default:
+				op = "SetOffline"
+				off := r.Bool(0.5)
+				got.SetOffline(n, off)
+				want.offline[n] = off
+			}
+			if s := got.Snapshot(); s != want.stats {
+				t.Fatalf("seed %d op %d (%s): Snapshot %+v, eager %+v", seed, i, op, s, want.stats)
+			}
+			if err := got.CheckInvariant(); err != nil {
+				t.Fatalf("seed %d op %d (%s): %v", seed, i, op, err)
+			}
+			for m := mem.NodeID(0); int(m) < nodes; m++ {
+				f, b, rp := got.UsageOn(m)
+				wf, wb, wr := want.usageOn(m)
+				if f != wf || b != wb || rp != wr || got.FreeOn(m) != wf {
+					t.Fatalf("seed %d op %d (%s): node %d usage %d/%d/%d free %d, eager %d/%d/%d",
+						seed, i, op, m, f, b, rp, got.FreeOn(m), wf, wb, wr)
+				}
+				for _, low := range []int{0, 1, perNode / 2, perNode} {
+					if got.Pressure(m, low) != (want.offline[m] || wf < low) {
+						t.Fatalf("seed %d op %d (%s): node %d Pressure(%d) disagrees", seed, i, op, m, low)
+					}
+				}
+			}
+		}
+	}
+	if seen[nil] == 0 || seen[ErrTransient] == 0 || seen[ErrNoFrames] == 0 {
+		t.Fatalf("AllocAnywhere outcomes %v: the stream must allocate, fail transiently and run dry", seen)
+	}
+}

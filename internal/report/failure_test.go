@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -161,29 +162,24 @@ func TestHarnessFailureHammer(t *testing.T) {
 	if executed+hits != goroutines*uint64(len(durations)) {
 		t.Fatalf("executed %d + memo hits %d != %d calls", executed, hits, goroutines*len(durations))
 	}
-	// Failures are evicted from the memo, so a failed key re-executes for
-	// later callers; successes stay memoized, so each key executes at least
-	// once and at most once per failure plus one final success.
-	if executed < uint64(len(durations)) {
-		t.Fatalf("executed = %d, want at least one per key (%d)", executed, len(durations))
-	}
-	maxExec := uint64(len(durations)) + uint64(len(FailedRuns(h.Records())))
-	if executed > maxExec {
-		t.Fatalf("executed = %d, want <= keys + failures = %d", executed, maxExec)
+	// Successes and final failures both stay memoized, so each key executes
+	// exactly once.
+	if executed != uint64(len(durations)) {
+		t.Fatalf("executed = %d, want one per key (%d)", executed, len(durations))
 	}
 	// Each failed execution hands its placeholder to at least its owner (plus
-	// any callers that had already joined the in-flight run).
+	// every caller that joined the in-flight run or hit the memo later).
 	if failed.Load() < int64(len(FailedRuns(h.Records()))) {
 		t.Fatalf("failed reads %d < failure records %d", failed.Load(), len(FailedRuns(h.Records())))
 	}
 }
 
-// A failure under -keep-going must not poison the memo: the failing call
-// returns the placeholder, but the key is evicted so the next call for the
-// same options re-runs the simulation and succeeds. (The placeholder was
-// once left memoized, so one transient failure made every later query of
-// that run return Failed for the life of the harness.)
-func TestHarnessFailureEvictedFromMemo(t *testing.T) {
+// A run's final failure stays in the memo like a success: a run that failed
+// once, even a failure that would not recur, answers every later call with
+// the same placeholder and is not simulated again. Retries is the one
+// re-attempt path. (Failed keys were once evicted, so every -keep-going
+// re-query of a failed run simulated the failure again.)
+func TestHarnessFailureStaysMemoized(t *testing.T) {
 	h := NewHarness(0.05, 1)
 	h.KeepGoing = true
 	var calls atomic.Int64
@@ -198,28 +194,85 @@ func TestHarnessFailureEvictedFromMemo(t *testing.T) {
 	if !first.Failed {
 		t.Fatal("first run did not fail as injected")
 	}
-	if len(FailedRuns(h.Records())) != 1 {
-		t.Fatalf("failures = %d, want 1", len(FailedRuns(h.Records())))
-	}
-
 	second := h.Run("engineering", opt)
-	if second.Failed {
-		t.Fatal("second run returned the memoized failure placeholder; the key was not evicted")
+	if second != first {
+		t.Fatalf("second call got %+v, want the memoized failure placeholder", second)
 	}
-	if second.Elapsed <= 0 {
-		t.Fatalf("second run produced no measurements: %+v", second)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("the failed run was attempted %d times, want 1", got)
 	}
-	executed, hits := h.Counters()
-	if executed != 2 || hits != 0 {
-		t.Fatalf("executed=%d hits=%d, want 2 executions and no memo hits", executed, hits)
+	if executed, hits := h.Counters(); executed != 1 || hits != 1 {
+		t.Fatalf("executed=%d hits=%d, want 1 execution and 1 memo hit", executed, hits)
+	}
+	if n := len(FailedRuns(h.Records())); n != 1 {
+		t.Fatalf("failures = %d, want 1", n)
 	}
 
-	// The success is memoized normally: a third call is a memo hit.
-	third := h.Run("engineering", opt)
-	if third != second {
-		t.Fatal("third call did not share the memoized success")
+	// Other keys are unaffected and memoize their successes as before.
+	other := core.Options{Duration: 6 * sim.Millisecond}
+	if res := h.Run("engineering", other); res.Failed || res != h.Run("engineering", other) {
+		t.Fatal("a healthy key did not run once and share its result")
 	}
-	if _, hits := h.Counters(); hits != 1 {
-		t.Fatalf("memo hits = %d, want 1", hits)
+}
+
+// A failure that recurs on every attempt, asked for twice, is simulated once:
+// the first caller pays its 1+Retries attempts and panics, and the second
+// panics with the same text from the memo without an attempt of its own.
+func TestHarnessDeterministicFailureRunsOnce(t *testing.T) {
+	h := NewHarness(0.05, 1)
+	h.Retries = 1
+	h.RetryBackoff = time.Millisecond
+	var calls atomic.Int64
+	h.PreRun = func(string, core.Options) {
+		calls.Add(1)
+		panic("always")
+	}
+	run := func() (msg any) {
+		defer func() { msg = recover() }()
+		h.Run("engineering", core.Options{Duration: 5 * sim.Millisecond})
+		return nil
+	}
+	first, second := run(), run()
+	if first == nil || second == nil {
+		t.Fatalf("failing run did not panic: first %v, second %v", first, second)
+	}
+	if first != second {
+		t.Fatalf("the memoized failure panicked with %q, want the first caller's %q", second, first)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("attempts = %d, want 2 (one run of 1+Retries attempts)", got)
+	}
+	if executed, hits := h.Counters(); executed != 1 || hits != 1 {
+		t.Fatalf("executed=%d hits=%d, want 1 execution and 1 memo hit", executed, hits)
+	}
+}
+
+// A failure under the owner's own cancelled context says nothing about the
+// run, so it is the one failure evicted from the memo: the next caller
+// simulates the run afresh.
+func TestHarnessCancelledFailureEvicted(t *testing.T) {
+	h := NewHarness(0.05, 1)
+	h.KeepGoing = true
+	ctx, cancel := context.WithCancel(context.Background())
+	var calls atomic.Int64
+	h.PreRun = func(string, core.Options) {
+		if calls.Add(1) == 1 {
+			cancel()
+		}
+	}
+	opt := core.Options{Duration: 5 * sim.Millisecond}
+
+	if res := h.RunContext(ctx, "engineering", opt); !res.Failed {
+		t.Fatal("the run under a cancelled context did not fail")
+	}
+	second := h.Run("engineering", opt)
+	if second.Failed || second.Elapsed <= 0 {
+		t.Fatalf("the call after a cancelled owner got %+v, want a fresh simulation", second)
+	}
+	if executed, hits := h.Counters(); executed != 2 || hits != 0 {
+		t.Fatalf("executed=%d hits=%d, want 2 executions and no memo hit", executed, hits)
+	}
+	if h.Run("engineering", opt) != second {
+		t.Fatal("the success after the eviction was not memoized")
 	}
 }

@@ -82,10 +82,13 @@ type Harness struct {
 }
 
 // runEntry is a memo slot: the first caller owns the simulation, later
-// callers block on done and read res.
+// callers block on done and read res. fail is the final failure's panic
+// text, empty after a success; a failed run keeps its slot, so it is
+// simulated once however often it is asked for.
 type runEntry struct {
 	done chan struct{}
 	res  *core.Result
+	fail string
 }
 
 // NewHarness builds a harness at the given scale.
@@ -181,9 +184,12 @@ func (h *Harness) Run(wl string, opt core.Options) *core.Result {
 // RunContext is Run under a caller-supplied context: cancellation or a
 // deadline propagates into the simulation's engine loop, so an abandoned
 // query stops simulating instead of running to its virtual deadline. It is
-// the memo around attempt: a cancelled owner still releases memo waiters
-// (with the failure placeholder under KeepGoing); the failed key is
-// evicted, so a later caller re-runs it.
+// the memo around attempt. A run's final failure, after its Retries, stays
+// in the memo like a success: every later caller gets the placeholder under
+// KeepGoing and the same panic otherwise, and Retries is the one re-attempt
+// path. Only a failure under the owner's own cancelled ctx is evicted (it
+// says nothing about the run), so a later caller re-runs it; waiters
+// already blocked on it still get the placeholder.
 func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *core.Result {
 	opt.Seed = h.Seed
 	key := runKey(wl, opt)
@@ -198,6 +204,9 @@ func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *
 		r := Record{ID: id, Workload: wl, State: StateMemoHit, WallStart: enter, WallEnd: h.since()}
 		r.measure(e.res)
 		h.record(r, true)
+		if e.fail != "" && !h.KeepGoing {
+			panic(e.fail)
+		}
 		return e.res
 	}
 	e := &runEntry{done: make(chan struct{})}
@@ -211,19 +220,18 @@ func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *
 	res, last, err := h.attempt(ctx, wl, id, enter,
 		func() *workload.Spec { return h.spec(wl) }, opt, true)
 	if err != nil {
-		// Evict the memo slot: the placeholder below answers callers already
-		// blocked on this entry, but a later call for the same key must get a
-		// fresh simulation, not a cached Failed result. (Leaving the entry in
-		// place once poisoned the memo — every -keep-going re-query of a run
-		// that had failed transiently returned the placeholder forever.)
-		h.mu.Lock()
-		delete(h.runs, key)
-		h.mu.Unlock()
-		if !h.KeepGoing {
-			panic(fmt.Sprintf("report: run %s id=%s failed after %d attempt(s): %v (options: %s)",
-				wl, id, last.Attempts, err, last.Fingerprint))
+		e.res = &core.Result{Workload: wl, Policy: "failed", Failed: true}
+		e.fail = fmt.Sprintf("report: run %s id=%s failed after %d attempt(s): %v (options: %s)",
+			wl, id, last.Attempts, err, last.Fingerprint)
+		if ctx.Err() != nil {
+			h.mu.Lock()
+			delete(h.runs, key)
+			h.mu.Unlock()
 		}
-		res = &core.Result{Workload: wl, Policy: "failed", Failed: true}
+		if !h.KeepGoing {
+			panic(e.fail)
+		}
+		return e.res
 	}
 	e.res = res
 	return res
