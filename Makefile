@@ -3,10 +3,10 @@ GO ?= go
 # Tier-1 verification plus formatting, the one-CPU goldens, the race detector,
 # and benchmark smoke runs. `make ci` is what a CI job should run.
 .PHONY: ci fmt-check vet build test perfbench-check golden-1cpu probe-check race \
-	fault-smoke bench-smoke obs-bench-smoke serve-smoke bench
+	fault-smoke fuzz-smoke bench-smoke obs-bench-smoke serve-smoke bench
 
 ci: fmt-check vet build perfbench-check golden-1cpu probe-check race fault-smoke \
-	bench-smoke obs-bench-smoke serve-smoke
+	fuzz-smoke bench-smoke obs-bench-smoke serve-smoke
 
 # $(call named,PKG,PATTERN) fails unless every |-separated alternative of
 # PATTERN matches a test or benchmark in PKG (listed with go test -list).
@@ -94,17 +94,29 @@ fault-smoke:
 	$(call named,./internal/core,TestChaos)
 	$(GO) test -run 'TestChaos' -count=1 ./internal/core
 
+# A short fuzz of the request path numasimd and numasim share: decode,
+# normalize and Build never panic, agree on what is a 400, and equal cache
+# keys build equal runs. The checked-in corpus under
+# internal/serve/testdata/fuzz also runs in every go test. Minimization is
+# capped because the default 60 s can stall a 10 s run on one input.
+fuzz-smoke:
+	$(call named,./internal/serve,FuzzRequest)
+	$(GO) test -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
+
 # One cheap iteration of the trace-simulator benchmark proves the bench
 # harness still builds and runs end to end; one of BenchmarkReadChains keeps
-# Figure 4's chain analysis on a write-heavy trace in view, and one of
-# BenchmarkNewSystem the B/op of building a small machine.
+# Figure 4's chain analysis on a write-heavy trace in view, one of
+# BenchmarkNewSystem the B/op of building a small machine, and one of
+# BenchmarkServeCachedHit the allocs/op of numasimd's cache-hit path.
 bench-smoke:
 	$(call named,.,BenchmarkTraceSimThroughput)
 	$(call named,./internal/trace,BenchmarkReadChains)
 	$(call named,./internal/core,BenchmarkNewSystem)
+	$(call named,./internal/serve,BenchmarkServeCachedHit)
 	BENCH_SCALE=0.1 $(GO) test -run '^$$' -bench BenchmarkTraceSimThroughput -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkReadChains -benchtime 1x ./internal/trace
 	$(GO) test -run '^$$' -bench BenchmarkNewSystem -benchmem -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench BenchmarkServeCachedHit -benchmem -benchtime 1x ./internal/serve
 
 # The disabled-tracer benchmark doubles as the proof that instrumentation
 # costs one branch when off; one iteration keeps CI honest about it building.

@@ -3,22 +3,33 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
 // BenchmarkServeCachedHit measures the warm path: request parsing, admission,
-// and a content-addressed cache hit — what an interactive frontend pays for a
-// repeated what-if. No simulation runs after the first iteration.
+// and a cache hit — what an interactive frontend pays for a repeated
+// what-if. No simulation runs after the first iteration. The handler is
+// built once, as numasimd builds it, so routing setup stays out of the
+// figure.
 func BenchmarkServeCachedHit(b *testing.B) {
 	s := New(Config{Workers: 2})
 	defer s.Shutdown()
-	if rec := post(s, smallBody); rec.Code != http.StatusOK {
-		b.Fatalf("warmup: %d", rec.Code)
+	h := s.Handler()
+	serve := func() int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(smallBody)))
+		return rec.Code
 	}
+	if code := serve(); code != http.StatusOK {
+		b.Fatalf("warmup: %d", code)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rec := post(s, smallBody); rec.Code != http.StatusOK {
-			b.Fatalf("status %d", rec.Code)
+		if code := serve(); code != http.StatusOK {
+			b.Fatalf("status %d", code)
 		}
 	}
 }

@@ -3,13 +3,15 @@ package serve
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 )
 
-// cache is the server's bounded, content-addressed result store: rendered
-// response bytes keyed by the request's content address (workload + scale +
-// options fingerprint — the same fingerprint the report memo keys on, so two
-// requests collide exactly when their simulations would be byte-identical).
+// cache is the server's bounded result store: rendered response bytes keyed
+// by the normalized request (Request.key), so a hit costs a map lookup and
+// never assembles the options it would have simulated. Equal keys always
+// mean byte-identical simulations; requests that differ only in ways Build
+// erases may take separate entries.
 //
 // Two robustness properties distinguish it from the report.Harness memo,
 // which it deliberately does not reuse:
@@ -43,7 +45,18 @@ type cacheEntry struct {
 type flight struct {
 	done chan struct{}
 	body []byte // nil when the fill failed (failures are not cached)
+	// err is set when the fill panicked: its followers return it rather than
+	// each re-running, in turn, a fill that would most likely panic again.
+	err error
 }
+
+// The outcomes do reports: the body was stored, another request's fill was
+// shared, or this request ran the fill.
+const (
+	outcomeHit    = "hit"
+	outcomeFollow = "follow"
+	outcomeMiss   = "miss"
+)
 
 func newCache(capacity int) *cache {
 	return &cache{
@@ -90,12 +103,13 @@ func (c *cache) put(key string, body []byte) {
 	}
 }
 
-// do returns key's body, filling via fn under single-flight: one concurrent
-// owner runs the simulation, followers share its bytes. A follower stops
-// waiting when its own ctx ends (the owner keeps running — its result still
-// feeds the cache and any patient followers). fn failures propagate to every
-// waiter and leave nothing cached.
-func (c *cache) do(ctx context.Context, key string, fn func() ([]byte, error)) ([]byte, error) {
+// do returns key's body and its outcome, filling via fn under
+// single-flight: one concurrent owner runs the simulation, followers share
+// its bytes. A follower stops waiting when its own ctx ends (the owner keeps
+// running — its result still feeds the cache and any patient followers). fn
+// failures propagate to the owner and leave nothing cached; the followers of
+// a failed fill retry, and of a panicked one get its error.
+func (c *cache) do(ctx context.Context, key string, fn func() ([]byte, error)) ([]byte, string, error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
@@ -103,7 +117,7 @@ func (c *cache) do(ctx context.Context, key string, fn func() ([]byte, error)) (
 			c.hits++
 			body := el.Value.(*cacheEntry).body
 			c.mu.Unlock()
-			return body, nil
+			return body, outcomeHit, nil
 		}
 		if f, ok := c.inflight[key]; ok {
 			c.mu.Unlock()
@@ -112,10 +126,10 @@ func (c *cache) do(ctx context.Context, key string, fn func() ([]byte, error)) (
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return nil, outcomeFollow, ctx.Err()
 			}
-			if f.body != nil {
-				return f.body, nil
+			if f.body != nil || f.err != nil {
+				return f.body, outcomeFollow, f.err
 			}
 			// The owner failed (its error went to its own caller); retry the
 			// loop — this waiter becomes the owner and re-runs.
@@ -125,8 +139,21 @@ func (c *cache) do(ctx context.Context, key string, fn func() ([]byte, error)) (
 		f := &flight{done: make(chan struct{})}
 		c.inflight[key] = f
 		c.mu.Unlock()
+		body, err := c.fill(key, f, fn)
+		return body, outcomeMiss, err
+	}
+}
 
-		body, err := fn()
+// fill runs fn as the owner of key's flight and releases the flight however
+// fn ends. A panic becomes an error for the owner and its followers: left
+// open, the flight would hold every later request for key until its
+// deadline.
+func (c *cache) fill(key string, f *flight, fn func() ([]byte, error)) (body []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			body, err = nil, fmt.Errorf("serve: result fill panicked: %v", p)
+			f.err = err
+		}
 		c.mu.Lock()
 		delete(c.inflight, key)
 		c.mu.Unlock()
@@ -135,8 +162,8 @@ func (c *cache) do(ctx context.Context, key string, fn func() ([]byte, error)) (
 			f.body = body
 		}
 		close(f.done)
-		return body, err
-	}
+	}()
+	return fn()
 }
 
 // cacheStats is the /healthz counters snapshot.

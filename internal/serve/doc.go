@@ -8,12 +8,14 @@
 //
 // POST /run carries a Request (a core.Options-shaped JSON document naming a
 // workload, policy, machine config, and optional fault injection). The
-// server validates it, fingerprints the resulting options (the same
-// core.Options.Fingerprint the report memo keys on), and answers from a
-// bounded content-addressed cache: identical what-ifs cost one simulation
-// (single-flight), distinct ones evict least-recently-used entries once the
-// cache is full. Responses are byte-identical to `numasim -json` for the
-// same options — both render through WriteResultJSON.
+// server validates and normalizes it (defaults filled in, knobs the policy
+// ignores cleared) and answers from a bounded cache keyed on the normalized
+// request, so a hit costs a decode, a key and a map lookup: only the owner
+// of a miss builds the options and simulates. Identical what-ifs cost one
+// simulation (single-flight), distinct ones evict least-recently-used
+// entries once the cache is full. Responses are byte-identical to
+// `numasim -json` for the same options — both build through Request.Build
+// and render through WriteResultJSON.
 //
 // # Admission and overload
 //
@@ -47,7 +49,8 @@
 // cmd/numasimd) calls Shutdown: the server stops admitting (new requests
 // 503), sheds the queue, waits for in-flight runs up to DrainTimeout, then
 // cancels stragglers cooperatively and flushes the cache index through Logf.
-// /healthz reports queue depth, run occupancy, and cache counters; /readyz
+// /healthz reports queue depth, run occupancy, cache counters and /run's
+// error responses by status; /readyz
 // flips to 503 the moment the drain begins (and while the queue is full), so
 // a load balancer stops routing before the listener closes.
 package serve

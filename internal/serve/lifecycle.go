@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"net/http"
 	"time"
 )
 
@@ -56,7 +57,7 @@ func (s *Server) Shutdown() bool {
 
 	st := s.cache.stats()
 	s.logf("drain: complete clean=%v served=%d rejected=%d cache entries=%d hits=%d misses=%d evictions=%d",
-		clean, s.served.Load(), s.rejected.Load(), st.Entries, st.Hits, st.Misses, st.Evictions)
+		clean, s.served.Load(), s.answered(http.StatusTooManyRequests).Load(), st.Entries, st.Hits, st.Misses, st.Evictions)
 	for i, key := range s.cache.index() {
 		s.logf("cache[%d] %s", i, key)
 	}

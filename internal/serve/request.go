@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 
 	"ccnuma/internal/core"
 	"ccnuma/internal/fault"
@@ -61,10 +62,6 @@ const defaultSeed = 42
 type Job struct {
 	// Label names the run in logs and failure manifests.
 	Label string
-	// Key is the content address for the result cache: workload identity
-	// (name, scale — spec properties outside core.Options) plus the full
-	// options fingerprint.
-	Key string
 	// Opt is the assembled option set.
 	Opt core.Options
 	// Spec builds a fresh workload spec (specs hold generator state, so one
@@ -74,103 +71,187 @@ type Job struct {
 	Stream bool
 }
 
-// Build validates the request and assembles the simulation inputs. Errors
-// are user errors (HTTP 400): an unknown workload, policy, config, or
-// metric, a bad scale, or an invalid fault config surface here, before any
-// queue slot or simulation time is spent.
-func (r Request) Build() (*Job, error) {
+// normalize validates r in place and fills in its defaults, so that two
+// requests for the same run tend to read the same: policy migrep, config
+// ccnuma, metric fc, scale 1, seed 42, and none of the dynamic policies'
+// knobs (Trigger, Adaptive, Reclaim, MigWriteShared, NoRemap) under rr or
+// ft, which ignore them. Its errors are user errors (HTTP 400) and are all
+// the errors Build can return: an unknown workload, policy, config or
+// metric, a bad scale, or an invalid fault config. It never writes through
+// r.Seed or r.Faults, which the caller may share.
+func (r *Request) normalize() error {
 	if r.Workload == "" {
-		return nil, fmt.Errorf("serve: missing workload")
+		return fmt.Errorf("serve: missing workload")
 	}
-	build, err := workload.ByName(r.Workload)
+	if _, err := workload.ByName(r.Workload); err != nil {
+		return err
+	}
+	if r.Scale == 0 {
+		r.Scale = 1.0
+	}
+	if r.Scale < 0 {
+		return fmt.Errorf("serve: negative scale %v", r.Scale)
+	}
+	if r.Seed == nil {
+		seed := uint64(defaultSeed)
+		r.Seed = &seed
+	}
+	if r.Config == "" {
+		r.Config = "ccnuma"
+	}
+	cfg, err := machine(r.Config)
 	if err != nil {
+		return err
+	}
+	if r.Metric == "" {
+		r.Metric = "fc"
+	}
+	if _, err := metric(r.Metric); err != nil {
+		return err
+	}
+	if r.Policy == "" {
+		r.Policy = "migrep"
+	}
+	switch r.Policy {
+	case "rr", "ft":
+		r.Trigger, r.Adaptive, r.Reclaim, r.MigWriteShared, r.NoRemap = 0, false, false, false, false
+	case "migr", "repl", "migrep":
+	default:
+		return fmt.Errorf("serve: unknown policy %q", r.Policy)
+	}
+	if r.Faults != nil {
+		return r.Faults.Validate(cfg.Nodes)
+	}
+	return nil
+}
+
+// machine returns the named machine preset.
+func machine(name string) (topology.Config, error) {
+	switch name {
+	case "ccnuma":
+		return topology.CCNUMA(), nil
+	case "ccnow":
+		return topology.CCNOW(), nil
+	case "zeronet":
+		return topology.ZeroNet(), nil
+	}
+	return topology.Config{}, fmt.Errorf("serve: unknown config %q", name)
+}
+
+// metric returns the named counter information source.
+func metric(name string) (policy.Metric, error) {
+	switch name {
+	case "fc":
+		return policy.FullCache, nil
+	case "sc":
+		return policy.SampledCache, nil
+	case "ft":
+		return policy.FullTLB, nil
+	case "st":
+		return policy.SampledTLB, nil
+	}
+	return 0, fmt.Errorf("serve: unknown metric %q", name)
+}
+
+// key renders a normalized request as its result-cache key: every field but
+// Stream, with the fault config only when present. Every field is a fixed
+// name or a number, so the rendering is injective: equal keys mean equal
+// normalized requests, which Build turns into equal runs. Requests whose
+// options fingerprint alike may still get distinct keys (a trigger spelled
+// out at the workload's default, say); that costs a duplicate cache entry,
+// never a wrong answer.
+func (r *Request) key() string {
+	var buf [160]byte
+	b := append(buf[:0], r.Workload...)
+	b = append(b, '|')
+	b = append(b, r.Policy...)
+	b = append(b, '|')
+	b = append(b, r.Config...)
+	b = append(b, '|')
+	b = append(b, r.Metric...)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, r.Scale, 'g', -1, 64)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, *r.Seed, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, r.DurationNS, 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, uint64(r.Trigger), 10)
+	b = append(b, '|')
+	for _, on := range [...]bool{r.TrackTLB, r.DirCopy, r.Adaptive, r.Reclaim, r.MigWriteShared, r.NoRemap} {
+		if on {
+			b = append(b, '1')
+		} else {
+			b = append(b, '0')
+		}
+	}
+	if f := r.Faults; f != nil {
+		b = append(b, "|f"...)
+		for _, v := range [...]int64{int64(f.Seed), int64(f.DrainNode), int64(f.DrainAt), int64(f.DelayBy),
+			int64(f.AllocFailFrom), int64(f.AllocFailUntil), int64(f.SlowNode)} {
+			b = append(b, ',')
+			b = strconv.AppendInt(b, v, 10)
+		}
+		for _, v := range [...]float64{f.DropBatch, f.DelayBatch, f.AllocFail, f.SlowFactor, f.OverheadBudget} {
+			b = append(b, ',')
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
+		b = append(b, ',')
+		b = strconv.AppendBool(b, f.DeferFailedOps)
+	}
+	return string(b)
+}
+
+// Build validates the request (see normalize) and assembles the simulation
+// inputs. Its errors surface before any queue slot or simulation time is
+// spent.
+func (r Request) Build() (*Job, error) {
+	if err := r.normalize(); err != nil {
 		return nil, err
 	}
-	scale := r.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
-	if scale < 0 {
-		return nil, fmt.Errorf("serve: negative scale %v", scale)
-	}
-	seed := uint64(defaultSeed)
-	if r.Seed != nil {
-		seed = *r.Seed
-	}
-
-	var cfg topology.Config
-	switch r.Config {
-	case "", "ccnuma":
-		cfg = topology.CCNUMA()
-	case "ccnow":
-		cfg = topology.CCNOW()
-	case "zeronet":
-		cfg = topology.ZeroNet()
-	default:
-		return nil, fmt.Errorf("serve: unknown config %q", r.Config)
-	}
+	// normalize accepted the workload, config and metric names.
+	build, _ := workload.ByName(r.Workload)
+	cfg, _ := machine(r.Config)
 	cfg.TrackTLBHolders = r.TrackTLB
 	cfg.DirCopy = r.DirCopy
+	scale, seed := r.Scale, *r.Seed
 
 	opt := core.Options{
 		Config:   cfg,
 		Seed:     seed,
 		Duration: sim.Time(r.DurationNS),
 	}
-	switch r.Metric {
-	case "", "fc":
-		opt.Metric = policy.FullCache
-	case "sc":
-		opt.Metric = policy.SampledCache
-	case "ft":
-		opt.Metric = policy.FullTLB
-	case "st":
-		opt.Metric = policy.SampledTLB
-	default:
-		return nil, fmt.Errorf("serve: unknown metric %q", r.Metric)
-	}
+	opt.Metric, _ = metric(r.Metric)
 
 	// The trigger default lives on the spec; build one up front for it (and
-	// to surface workload construction panics as Build-time errors, not
-	// run-time failures).
+	// so that a workload construction panic happens here, not in a run).
 	spec0 := build(scale, seed)
-	pol := r.Policy
-	if pol == "" {
-		pol = "migrep"
-	}
-	switch pol {
+	switch r.Policy {
 	case "rr":
 		opt.RoundRobin = true
-	case "ft":
 	case "migr", "repl", "migrep":
 		opt.Dynamic = true
 		opt.Params = policy.Base().WithTrigger(spec0.Trigger)
 		if r.Trigger > 0 {
 			opt.Params = opt.Params.WithTrigger(r.Trigger)
 		}
-		if pol == "migr" {
+		if r.Policy == "migr" {
 			opt.Params = opt.Params.MigrationOnly()
 		}
-		if pol == "repl" {
+		if r.Policy == "repl" {
 			opt.Params = opt.Params.ReplicationOnly()
 		}
 		opt.Params.MigrateWriteShared = r.MigWriteShared
 		opt.Params.DisableRemap = r.NoRemap
 		opt.AdaptiveTrigger = r.Adaptive
 		opt.ReclaimColdReplicas = r.Reclaim
-	default:
-		return nil, fmt.Errorf("serve: unknown policy %q", pol)
 	}
 	if r.Faults != nil {
 		opt.Faults = *r.Faults
-		if err := opt.Faults.Validate(cfg.Nodes); err != nil {
-			return nil, err
-		}
 	}
 
 	return &Job{
-		Label:  r.Workload + "/" + pol,
-		Key:    fmt.Sprintf("%s|%g|%s", r.Workload, scale, opt.Fingerprint()),
+		Label:  r.Workload + "/" + r.Policy,
 		Opt:    opt,
 		Spec:   func() *workload.Spec { return build(scale, seed) },
 		Stream: r.Stream,

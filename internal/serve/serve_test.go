@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"ccnuma/internal/core"
+	"ccnuma/internal/fault"
 )
 
 // smallBody is a fast request: engineering at 5% scale for 5ms of simulated
@@ -151,6 +153,9 @@ func TestBadRequests(t *testing.T) {
 	}
 	if hw := s.AdmittedHighWater(); hw != 0 {
 		t.Errorf("bad requests consumed queue slots: high water %d", hw)
+	}
+	if n := s.answered(http.StatusBadRequest).Load(); n != uint64(len(cases)) {
+		t.Errorf("/healthz counts %d 400s, want %d", n, len(cases))
 	}
 }
 
@@ -558,10 +563,56 @@ func TestHealthz(t *testing.T) {
 	if rec := get(s, "/readyz"); rec.Code != http.StatusOK {
 		t.Fatalf("readyz while accepting: %d", rec.Code)
 	}
+	if rec := post(s, `{"workload":"wat"}`); rec.Code != http.StatusBadRequest {
+		t.Fatalf("bad request: %d", rec.Code)
+	}
 	s.Shutdown()
+	if rec := post(s, smallBody); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("request after drain: %d", rec.Code)
+	}
+	if rec := get(s, "/readyz"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz after drain: %d", rec.Code)
+	}
 	rec = get(s, "/healthz")
+	h = health{}
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil || h.State != "draining" {
 		t.Fatalf("healthz after drain = %+v (err %v)", h, err)
+	}
+	// Only /run's answers count: the readyz 503 is a probe, not an error.
+	want := map[string]uint64{"400": 1, "429": 0, "500": 0, "503": 1, "504": 0}
+	if fmt.Sprint(h.Errors) != fmt.Sprint(want) {
+		t.Fatalf("healthz errors = %v, want %v", h.Errors, want)
+	}
+}
+
+// TestLogLineCacheOutcome: each served request logs one line naming its
+// normalized key and its cache outcome.
+func TestLogLineCacheOutcome(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	s := New(Config{Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if strings.HasPrefix(format, "serve ") {
+			lines = append(lines, fmt.Sprintf(format, args...))
+		}
+	}})
+	defer s.Shutdown()
+	for i := 0; i < 2; i++ {
+		if rec := post(s, smallBody); rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, rec.Code)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lines) != 2 {
+		t.Fatalf("log lines %q, want one per request", lines)
+	}
+	const key = `key="engineering|migrep|ccnuma|fc|0.05|42|5000000|0|000000"`
+	for i, want := range []string{"cache=miss", "cache=hit"} {
+		if !strings.HasPrefix(lines[i], "serve engineering/migrep "+key+" "+want+" wall=") {
+			t.Errorf("line %d = %q, want %s %s", i, lines[i], key, want)
+		}
 	}
 }
 
@@ -596,37 +647,274 @@ func TestCacheLRU(t *testing.T) {
 	ownerDone := make(chan struct{})
 	go func() {
 		defer close(ownerDone)
-		if b, err := c.do(context.Background(), "x", fill); err != nil || string(b) != "X" {
-			t.Errorf("owner: %s %v", b, err)
+		if b, out, err := c.do(context.Background(), "x", fill); err != nil || string(b) != "X" || out != outcomeMiss {
+			t.Errorf("owner: %s %s %v", b, out, err)
 		}
 	}()
 	waitUntil(t, "owner to start filling", func() bool { return fills.Load() == 1 })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.do(ctx, "x", fill); err != context.Canceled {
+	if _, _, err := c.do(ctx, "x", fill); err != context.Canceled {
 		t.Fatalf("impatient follower: err %v, want its own cancellation", err)
 	}
 	followerDone := make(chan struct{})
+	fctx, following := followingCtx()
 	go func() {
 		defer close(followerDone)
-		if b, err := c.do(context.Background(), "x", fill); err != nil || string(b) != "X" {
-			t.Errorf("follower: %s %v", b, err)
+		if b, out, err := c.do(fctx, "x", fill); err != nil || string(b) != "X" || out != outcomeFollow {
+			t.Errorf("follower: %s %s %v", b, out, err)
 		}
 	}()
+	<-following
 	close(gate)
 	<-ownerDone
 	<-followerDone
 	if fills.Load() != 1 {
 		t.Fatalf("fills = %d, want 1 (single-flight)", fills.Load())
 	}
+	if b, out, err := c.do(context.Background(), "x", fill); err != nil || string(b) != "X" || out != outcomeHit {
+		t.Fatalf("warm key: %s %s %v, want a hit", b, out, err)
+	}
 
 	// A failed fill is not cached and unblocks followers into a retry.
 	boom := func() ([]byte, error) { return nil, fmt.Errorf("boom") }
-	if _, err := c.do(context.Background(), "y", boom); err == nil {
+	if _, _, err := c.do(context.Background(), "y", boom); err == nil {
 		t.Fatal("failed fill reported success")
 	}
-	if b, err := c.do(context.Background(), "y", func() ([]byte, error) { return []byte("Y"), nil }); err != nil || string(b) != "Y" {
-		t.Fatalf("post-failure fill: %s %v", b, err)
+	if b, out, err := c.do(context.Background(), "y", func() ([]byte, error) { return []byte("Y"), nil }); err != nil || string(b) != "Y" || out != outcomeMiss {
+		t.Fatalf("post-failure fill: %s %s %v", b, out, err)
+	}
+}
+
+// followingCtx returns a context that closes following the first time its
+// Done is asked for, which cache.do does only when it starts waiting as a
+// follower.
+func followingCtx() (context.Context, <-chan struct{}) {
+	c := &signalCtx{Context: context.Background(), following: make(chan struct{})}
+	return c, c.following
+}
+
+type signalCtx struct {
+	context.Context
+	once      sync.Once
+	following chan struct{}
+}
+
+func (c *signalCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.following) })
+	return c.Context.Done()
+}
+
+// TestCachePanickingFill: a fill that panics releases its flight. The owner
+// and a waiting follower both get an error promptly (the handler maps it to
+// 500) instead of the follower waiting out its deadline, nothing is cached,
+// and the next request for the key runs the fill again.
+func TestCachePanickingFill(t *testing.T) {
+	c := newCache(4)
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.do(context.Background(), "p", func() ([]byte, error) {
+			close(started)
+			<-gate
+			panic("fill chaos")
+		})
+		ownerErr <- err
+	}()
+	<-started
+
+	fctx, following := followingCtx()
+	followerErr := make(chan error, 1)
+	go func() {
+		_, out, err := c.do(fctx, "p", func() ([]byte, error) {
+			t.Error("the follower ran a fill of its own")
+			return nil, nil
+		})
+		if out != outcomeFollow {
+			t.Errorf("follower outcome %q, want %q", out, outcomeFollow)
+		}
+		followerErr <- err
+	}()
+	<-following
+	close(gate)
+
+	var panicErr error
+	for who, ch := range map[string]chan error{"owner": ownerErr, "follower": followerErr} {
+		select {
+		case panicErr = <-ch:
+			if panicErr == nil || !strings.Contains(panicErr.Error(), "fill chaos") {
+				t.Fatalf("%s: err %v, want the fill's panic", who, panicErr)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still waiting on a panicked fill", who)
+		}
+	}
+	if st := c.stats(); st.Entries != 0 {
+		t.Fatalf("a panicked fill was cached: %+v", st)
+	}
+	b, out, err := c.do(context.Background(), "p", func() ([]byte, error) { return []byte("P"), nil })
+	if err != nil || string(b) != "P" || out != outcomeMiss {
+		t.Fatalf("next request after the panic: %s %s %v, want a fresh fill", b, out, err)
+	}
+	s := New(Config{})
+	defer s.Shutdown()
+	rec := httptest.NewRecorder()
+	s.writeRunError(rec, httptest.NewRequest(http.MethodPost, "/run", nil), panicErr, nil)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("a panicked fill answers %d, want 500", rec.Code)
+	}
+}
+
+// hitAllocCeiling bounds the allocations of one warmed cache hit through the
+// handler, request and recorder included: about 1.5x the 37 measured once
+// hits stopped building the simulation (348 while every hit ran Build).
+const hitAllocCeiling = 56
+
+// TestCacheHitAllocs: a hit decodes, normalizes and looks its key up, and
+// with logging off it pays nothing for the log line. A change that puts
+// Build or a fingerprint back on the hit path fails here.
+func TestCacheHitAllocs(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown()
+	h := s.Handler()
+	if rec := post(s, smallBody); rec.Code != http.StatusOK {
+		t.Fatalf("warmup: status %d", rec.Code)
+	}
+	var code int
+	allocs := testing.AllocsPerRun(100, func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(smallBody)))
+		code = rec.Code
+	})
+	if code != http.StatusOK {
+		t.Fatalf("hit: status %d", code)
+	}
+	if st := s.cache.stats(); st.Misses != 1 {
+		t.Fatalf("cache stats %+v, want the warmup's one miss", st)
+	}
+	if allocs > hitAllocCeiling {
+		t.Fatalf("a cache hit makes %.0f allocations, ceiling %d", allocs, hitAllocCeiling)
+	}
+	t.Logf("a cache hit makes %.0f allocations", allocs)
+}
+
+// TestRequestKey: normalization merges spellings of one run and clears the
+// knobs static policies ignore; the key splits every field that reaches the
+// options, and requests with equal keys build equal options.
+func TestRequestKey(t *testing.T) {
+	parse := func(body string) Request {
+		t.Helper()
+		var r Request
+		if err := json.Unmarshal([]byte(body), &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	key := func(body string) string {
+		t.Helper()
+		r := parse(body)
+		if err := r.normalize(); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return r.key()
+	}
+	same := [][]string{
+		{`{"workload":"engineering"}`,
+			`{"workload":"engineering","policy":"migrep","config":"ccnuma","metric":"fc","scale":1,"seed":42}`,
+			`{"workload":"engineering","stream":true}`},
+		{`{"workload":"database","policy":"rr","scale":0.03}`,
+			`{"workload":"database","policy":"rr","scale":0.03,"trigger":9,"adaptive":true,"reclaim":true,"mig_wshared":true,"no_remap":true}`},
+		{`{"workload":"database","policy":"ft","config":"ccnow"}`,
+			`{"workload":"database","policy":"ft","config":"ccnow","trigger":200,"no_remap":true}`},
+	}
+	for _, group := range same {
+		want := key(group[0])
+		job0, err := parse(group[0]).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, body := range group[1:] {
+			if got := key(body); got != want {
+				t.Errorf("%s: key %q, want %q as for %s", body, got, want, group[0])
+			}
+			job, err := parse(body).Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if job.Opt.Fingerprint() != job0.Opt.Fingerprint() {
+				t.Errorf("%s: equal keys, different options", body)
+			}
+		}
+	}
+
+	distinct := []string{
+		`{"workload":"engineering"}`,
+		`{"workload":"engr"}`,
+		`{"workload":"raytrace"}`,
+		`{"workload":"engineering","policy":"migr"}`,
+		`{"workload":"engineering","policy":"repl"}`,
+		`{"workload":"engineering","policy":"rr"}`,
+		`{"workload":"engineering","policy":"ft"}`,
+		`{"workload":"engineering","config":"ccnow"}`,
+		`{"workload":"engineering","config":"zeronet"}`,
+		`{"workload":"engineering","metric":"sc"}`,
+		`{"workload":"engineering","metric":"ft"}`,
+		`{"workload":"engineering","metric":"st"}`,
+		`{"workload":"engineering","scale":0.5}`,
+		`{"workload":"engineering","seed":0}`,
+		`{"workload":"engineering","seed":18446744073709551615}`,
+		`{"workload":"engineering","duration_ns":5000000}`,
+		`{"workload":"engineering","duration_ns":-1}`,
+		`{"workload":"engineering","trigger":16}`,
+		`{"workload":"engineering","track_tlb":true}`,
+		`{"workload":"engineering","dir_copy":true}`,
+		`{"workload":"engineering","adaptive":true}`,
+		`{"workload":"engineering","reclaim":true}`,
+		`{"workload":"engineering","mig_wshared":true}`,
+		`{"workload":"engineering","no_remap":true}`,
+		`{"workload":"engineering","faults":{}}`,
+		`{"workload":"engineering","faults":{"seed":1}}`,
+		`{"workload":"engineering","faults":{"drain_node":1,"drain_at":1000}}`,
+		`{"workload":"engineering","faults":{"drain_node":2,"drain_at":1000}}`,
+		`{"workload":"engineering","faults":{"drop_batch":0.5}}`,
+		`{"workload":"engineering","faults":{"delay_batch":0.5}}`,
+		`{"workload":"engineering","faults":{"delay_batch":0.5,"delay_by":7}}`,
+		`{"workload":"engineering","faults":{"alloc_fail":0.1}}`,
+		`{"workload":"engineering","faults":{"alloc_fail":0.1,"alloc_fail_from":5}}`,
+		`{"workload":"engineering","faults":{"alloc_fail":0.1,"alloc_fail_until":5}}`,
+		`{"workload":"engineering","faults":{"slow_node":1,"slow_factor":2}}`,
+		`{"workload":"engineering","faults":{"slow_node":1,"slow_factor":2.5}}`,
+		`{"workload":"engineering","faults":{"defer_failed_ops":true}}`,
+		`{"workload":"engineering","faults":{"overhead_budget":0.2}}`,
+	}
+	seen := map[string]string{}
+	for _, body := range distinct {
+		k := key(body)
+		if prev, ok := seen[k]; ok {
+			t.Errorf("%s and %s share key %q", prev, body, k)
+		}
+		seen[k] = body
+	}
+
+	// normalize works on its own copy of the pointed-to seed and faults.
+	r := parse(`{"workload":"engineering","seed":7,"faults":{"drop_batch":0.5}}`)
+	seed, faults := *r.Seed, *r.Faults
+	r2 := r
+	if err := r2.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if *r.Seed != seed || *r.Faults != faults {
+		t.Fatal("normalize wrote through the request's pointers")
+	}
+
+	// A field added to Request or fault.Config must be normalized and
+	// rendered by key before these counts are raised.
+	if n := reflect.TypeOf(Request{}).NumField(); n != 16 {
+		t.Errorf("Request has %d fields; render the new one in Request.key", n)
+	}
+	if n := reflect.TypeOf(fault.Config{}).NumField(); n != 13 {
+		t.Errorf("fault.Config has %d fields; render the new one in Request.key", n)
 	}
 }

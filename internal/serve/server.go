@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,8 +104,18 @@ type Server struct {
 	admitted   atomic.Int64 // requests holding a queue slot (queued + running)
 	admittedHW atomic.Int64 // high-water mark of admitted (lifecycle tests)
 	running    atomic.Int64 // requests holding a run slot
-	rejected   atomic.Uint64
 	served     atomic.Uint64
+	// errs counts /run's error responses, one per errorStatuses entry.
+	errs [len(errorStatuses)]atomic.Uint64
+}
+
+// errorStatuses are the /run error statuses /healthz counts.
+var errorStatuses = [...]int{
+	http.StatusBadRequest,
+	http.StatusTooManyRequests,
+	http.StatusInternalServerError,
+	http.StatusServiceUnavailable,
+	http.StatusGatewayTimeout,
 }
 
 // New builds a server. The harness is configured once and shared by every
@@ -158,6 +169,25 @@ type errorBody struct {
 	Failure *report.Record `json:"failure,omitempty"`
 }
 
+// fail answers a /run request with an error and counts its status.
+func (s *Server) fail(w http.ResponseWriter, status int, body errorBody) {
+	if c := s.answered(status); c != nil {
+		c.Add(1)
+	}
+	writeError(w, status, body)
+}
+
+// answered returns the counter of /run's answers with status, or nil for a
+// status errorStatuses does not list.
+func (s *Server) answered(status int) *atomic.Uint64 {
+	for i, st := range errorStatuses {
+		if st == status {
+			return &s.errs[i]
+		}
+	}
+	return nil
+}
+
 func writeError(w http.ResponseWriter, status int, body errorBody) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -188,13 +218,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, errorBody{Error: "parse: " + err.Error()})
+		s.fail(w, http.StatusBadRequest, errorBody{Error: "parse: " + err.Error()})
 		return
 	}
-	job, err := req.Build()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+	if err := req.normalize(); err != nil {
+		s.fail(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
+	}
+	// Streams bypass the cache, so they are the only requests built up
+	// front; a cached request is built only by the fill that simulates it.
+	var job *Job
+	if req.Stream {
+		var err error
+		if job, err = req.Build(); err != nil {
+			s.fail(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+			return
+		}
 	}
 
 	// Admission stage 0: the drain gate (see admitMu). Once draining, new
@@ -202,7 +241,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.admitMu.RLock()
 	if s.draining {
 		s.admitMu.RUnlock()
-		writeError(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
+		s.fail(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
 		return
 	}
 	s.inflight.Add(1)
@@ -217,9 +256,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.queueSlots <- struct{}{}:
 	default:
-		s.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, errorBody{Error: "queue full"})
+		s.fail(w, http.StatusTooManyRequests, errorBody{Error: "queue full"})
 		return
 	}
 	defer func() { <-s.queueSlots }()
@@ -240,7 +278,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
-	if job.Stream {
+	if job != nil {
 		if err := s.acquireRun(ctx); err != nil {
 			s.writeRunError(w, r, err, nil)
 			return
@@ -250,11 +288,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Only the single-flight owner of a missing key takes a run slot, inside
-	// the fill: a cache hit or a follower of someone else's run simulates
-	// nothing and must not wait behind, or occupy, a worker.
-	t0 := time.Now()
-	body, err := s.cache.do(ctx, job.Key, func() ([]byte, error) {
+	// Only the single-flight owner of a missing key builds the job and takes
+	// a run slot, inside the fill: a cache hit or a follower of someone
+	// else's run simulates nothing and must not wait behind, or occupy, a
+	// worker.
+	var t0 time.Time
+	if s.cfg.Logf != nil {
+		t0 = time.Now()
+	}
+	key := req.key()
+	body, outcome, err := s.cache.do(ctx, key, func() ([]byte, error) {
+		job, err := req.Build()
+		if err != nil {
+			return nil, err
+		}
 		if err := s.acquireRun(ctx); err != nil {
 			return nil, err
 		}
@@ -275,7 +322,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.served.Add(1)
-	s.logf("serve %s key=%q wall=%v", job.Label, job.Key, time.Since(t0).Round(time.Millisecond))
+	if s.cfg.Logf != nil {
+		s.cfg.Logf("serve %s/%s key=%q cache=%s wall=%v", req.Workload, req.Policy, key, outcome,
+			time.Since(t0).Round(time.Millisecond))
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body) //nolint:errcheck // nothing left to do for a gone client
 }
@@ -312,16 +362,16 @@ func (s *Server) releaseRun() {
 func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error, fail *report.Record) {
 	switch {
 	case errors.Is(err, errShed):
-		writeError(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		s.fail(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, errorBody{Error: "deadline exceeded: " + err.Error(), Failure: fail})
+		s.fail(w, http.StatusGatewayTimeout, errorBody{Error: "deadline exceeded: " + err.Error(), Failure: fail})
 	case errors.Is(err, context.Canceled):
 		if r.Context().Err() != nil {
 			return
 		}
-		writeError(w, http.StatusServiceUnavailable, errorBody{Error: "cancelled by drain: " + err.Error(), Failure: fail})
+		s.fail(w, http.StatusServiceUnavailable, errorBody{Error: "cancelled by drain: " + err.Error(), Failure: fail})
 	default:
-		writeError(w, http.StatusInternalServerError, errorBody{Error: err.Error(), Failure: fail})
+		s.fail(w, http.StatusInternalServerError, errorBody{Error: err.Error(), Failure: fail})
 	}
 }
 
@@ -377,6 +427,8 @@ type health struct {
 	Served   uint64     `json:"served"`
 	Rejected uint64     `json:"rejected"`
 	Cache    cacheStats `json:"cache"`
+	// Errors counts /run's error responses by status code.
+	Errors map[string]uint64 `json:"errors"`
 }
 
 func (s *Server) snapshot() health {
@@ -392,6 +444,10 @@ func (s *Server) snapshot() health {
 	if queued < 0 {
 		queued = 0
 	}
+	errs := make(map[string]uint64, len(errorStatuses))
+	for i, st := range errorStatuses {
+		errs[strconv.Itoa(st)] = s.errs[i].Load()
+	}
 	return health{
 		State:    state,
 		Admitted: admitted,
@@ -400,8 +456,9 @@ func (s *Server) snapshot() health {
 		Capacity: s.cfg.Workers + s.cfg.QueueDepth,
 		Workers:  s.cfg.Workers,
 		Served:   s.served.Load(),
-		Rejected: s.rejected.Load(),
+		Rejected: s.answered(http.StatusTooManyRequests).Load(),
 		Cache:    s.cache.stats(),
+		Errors:   errs,
 	}
 }
 
