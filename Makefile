@@ -94,14 +94,19 @@ fault-smoke:
 	$(call named,./internal/core,TestChaos)
 	$(GO) test -run 'TestChaos' -count=1 ./internal/core
 
-# A short fuzz of the request path numasimd and numasim share: decode,
-# normalize and Build never panic, agree on what is a 400, and equal cache
-# keys build equal runs. The checked-in corpus under
-# internal/serve/testdata/fuzz also runs in every go test. Minimization is
-# capped because the default 60 s can stall a 10 s run on one input.
+# A short fuzz of each input boundary. FuzzRequest: the request path
+# numasimd and numasim share (decode, normalize and Build never panic, agree
+# on what is a 400, and equal cache keys build equal runs). FuzzTrace: the
+# foreign traces tracesim -in reads (trace.Read and Validate refuse or pass
+# a trace, which then simulates under every policy without a panic, the same
+# way twice). The checked-in corpora under internal/*/testdata/fuzz also run
+# in every go test. Minimization is capped because the default 60 s can
+# stall a 10 s run on one input.
 fuzz-smoke:
 	$(call named,./internal/serve,FuzzRequest)
+	$(call named,./internal/tracesim,FuzzTrace)
 	$(GO) test -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/tracesim
 
 # One cheap iteration of the trace-simulator benchmark proves the bench
 # harness still builds and runs end to end; one of BenchmarkReadChains keeps

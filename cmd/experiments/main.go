@@ -25,6 +25,7 @@ import (
 
 	"ccnuma/internal/profiling"
 	"ccnuma/internal/report"
+	"ccnuma/internal/workload"
 )
 
 func main() {
@@ -35,18 +36,16 @@ func main() {
 		out      = flag.String("out", "", "also write the report to this file")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations per experiment")
-		progress = flag.Bool("progress", false, "log each simulation attempt and memo hit to stderr")
-		metrics  = flag.String("metrics", "", "write one JSON record per attempt and memo hit (JSONL) to this file")
+		progress = flag.Bool("progress", false, "log each simulation and memo hit to stderr")
+		metrics  = flag.String("metrics", "", "write one JSON record per simulation and memo hit (JSONL) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile after the run to this file")
 
-		retries      = flag.Int("retries", 0, "re-attempt each failed simulation this many times")
-		retryBackoff = flag.Duration("retry-backoff", 100*time.Millisecond, "pause before the first retry (doubles per attempt)")
-		runTimeout   = flag.Duration("run-timeout", 0, "per-simulation wall-clock timeout (0 = none)")
-		keepGoing    = flag.Bool("keep-going", false, "complete the grid past failed runs and write a failure manifest")
-		manifest     = flag.String("manifest", "", "failure-manifest path (default <out>.failures.json or experiments.failures.json)")
-		spansPth     = flag.String("spans", "", "write the harness span timeline (Chrome trace JSON, wall clock) to this file")
-		recorderN    = flag.Int("recorder", 0, "flight-recorder depth: keep the last N obs events per run for failure manifests (0 = off; pair with -keep-going or -retries)")
+		runTimeout = flag.Duration("run-timeout", 0, "per-simulation wall-clock timeout (0 = none)")
+		keepGoing  = flag.Bool("keep-going", false, "complete the grid past failed runs and write a failure manifest")
+		manifest   = flag.String("manifest", "", "failure-manifest path (default <out>.failures.json or experiments.failures.json)")
+		spansPth   = flag.String("spans", "", "write the harness span timeline (Chrome trace JSON, wall clock) to this file")
+		recorderN  = flag.Int("recorder", 0, "flight-recorder depth: keep the last N obs events per run for failure manifests (0 = off; pair with -keep-going)")
 	)
 	flag.Parse()
 
@@ -77,10 +76,12 @@ func main() {
 		}
 	}
 
+	if err := workload.CheckScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
 	h := report.NewHarness(*scale, *seed)
 	h.Workers = *jobs
-	h.Retries = *retries
-	h.RetryBackoff = *retryBackoff
 	h.RunTimeout = *runTimeout
 	h.KeepGoing = *keepGoing
 	h.RecorderDepth = *recorderN
@@ -142,12 +143,12 @@ func main() {
 	// seen before: those of the experiment that just ran, since experiments
 	// run one after another. A failed run stays in the memo, so a later
 	// experiment that asks for it again gets a memo hit, and fails with it.
-	type attempt struct {
+	// seenKey names one record: its run's id and its start time.
+	type seenKey struct {
 		id    string
-		n     int
 		start time.Duration
 	}
-	seen := map[attempt]bool{}
+	seen := map[seenKey]bool{}
 	newFailures := func() []report.Record {
 		recs := h.Records()
 		final := map[string]report.Record{}
@@ -156,7 +157,7 @@ func main() {
 		}
 		var out []report.Record
 		for _, r := range recs {
-			if k := (attempt{r.ID, r.Attempts, r.WallStart}); !seen[k] {
+			if k := (seenKey{r.ID, r.WallStart}); !seen[k] {
 				seen[k] = true
 				if f, failed := final[r.ID]; failed {
 					delete(final, r.ID) // list each run once
@@ -186,7 +187,7 @@ func main() {
 				var b strings.Builder
 				fmt.Fprintf(&b, "FAILED: %d simulation run(s) failed:\n\n", len(failed))
 				for _, f := range failed {
-					fmt.Fprintf(&b, "- %s id=%s %s after %d attempt(s)\n", f.Workload, f.ID, f.State, f.Attempts)
+					fmt.Fprintf(&b, "- %s id=%s %s\n", f.Workload, f.ID, f.State)
 				}
 				body = b.String()
 			}()

@@ -19,40 +19,19 @@ type record struct {
 	ID       string `json:"id"`
 	Workload string `json:"workload"`
 	State    string `json:"state"`
-	Attempts int    `json:"attempts"`
 }
 
 // TestRecordOutputsAgree runs the built binary end to end on Table 3 at a
 // tiny scale. With a 1 ns run timeout every simulation times out, once: the
 // run exits 1, each failed run is simulated once and served from the memo
-// when Table 3 asks for it again, every run the manifest lists is in the -metrics file as a timeout
-// record under the same 16-hex-digit id, every record's slices are in the
+// when Table 3 asks for it again, every run the manifest lists is in the
+// -metrics file as a timeout record under the same 16-hex-digit id, every record's slices are in the
 // -spans trace, and Table 3 renders as FAILED, naming the failed runs, and is
 // listed in the manifest's experiments_failed. Without the timeout the same
 // grid exits 0 with no failed record.
 func TestRecordOutputsAgree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the experiments binary")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "experiments")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	dir, run := experimentsRunner(t)
 	path := func(name string) string { return filepath.Join(dir, name) }
-	run := func(args ...string) (int, string) {
-		cmd := exec.Command(bin, append([]string{"-only", "T3", "-scale", "0.02"}, args...)...)
-		var out bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &out, &out
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if errors.As(err, &exit) {
-			return exit.ExitCode(), out.String()
-		} else if err != nil {
-			t.Fatalf("%v\n%s", err, out.String())
-		}
-		return 0, out.String()
-	}
 
 	code, out := run("-keep-going", "-run-timeout", "1ns", "-metrics", path("m.jsonl"),
 		"-spans", path("s.json"), "-manifest", path("f.json"))
@@ -71,7 +50,7 @@ func TestRecordOutputsAgree(t *testing.T) {
 	// A failed run stays in the memo: T3 asks for each of its runs twice,
 	// and each is simulated once.
 	for id, rs := range byID {
-		if n := countAttempts(rs); n != 1 {
+		if n := countSimulations(rs); n != 1 {
 			t.Fatalf("run %s was simulated %d times, want 1: %+v", id, n, rs)
 		}
 	}
@@ -99,7 +78,7 @@ func TestRecordOutputsAgree(t *testing.T) {
 		}
 		found := false
 		for _, r := range byID[f.ID] {
-			found = found || (r.State == "timeout" && r.Attempts == f.Attempts && r.Workload == f.Workload)
+			found = found || (r.State == "timeout" && r.Workload == f.Workload)
 		}
 		if !found {
 			t.Fatalf("failed run %+v has no timeout record in the metrics: %+v", f, byID[f.ID])
@@ -110,9 +89,8 @@ func TestRecordOutputsAgree(t *testing.T) {
 		TraceEvents []struct {
 			Ph   string `json:"ph"`
 			Args struct {
-				ID      string `json:"id"`
-				State   string `json:"state"`
-				Attempt int    `json:"attempt"`
+				ID    string `json:"id"`
+				State string `json:"state"`
 			} `json:"args"`
 		} `json:"traceEvents"`
 	}
@@ -120,19 +98,16 @@ func TestRecordOutputsAgree(t *testing.T) {
 	slices := map[string]bool{}
 	for _, e := range trace.TraceEvents {
 		if e.Ph == "X" {
-			slices[fmt.Sprintf("%s/%d/%s", e.Args.ID, e.Args.Attempt, e.Args.State)] = true
+			slices[e.Args.ID+"/"+e.Args.State] = true
 		}
 	}
 	for _, r := range recs {
 		want := []string{"memo-hit"}
 		if r.State != "memo-hit" {
 			want = []string{"queued", r.State}
-			if r.Attempts > 1 {
-				want[0] = "retry"
-			}
 		}
 		for _, state := range want {
-			if key := fmt.Sprintf("%s/%d/%s", r.ID, r.Attempts, state); !slices[key] {
+			if !slices[r.ID+"/"+state] {
 				t.Fatalf("record %+v has no %q slice in the spans trace", r, state)
 			}
 		}
@@ -156,12 +131,55 @@ func TestRecordOutputsAgree(t *testing.T) {
 	}
 }
 
-// countAttempts counts the first attempts among one run's records: how many
-// times the run was simulated.
-func countAttempts(rs []record) int {
+// TestScaleOutOfRangeRejected: a -scale no workload can be built at (not a
+// number, infinite, or past the page bound) exits 1 naming the scale before
+// any experiment runs; such scales once ran every experiment on the
+// smallest workload.
+func TestScaleOutOfRangeRejected(t *testing.T) {
+	_, run := experimentsRunner(t)
+	for _, v := range []string{"NaN", "-Inf", "1e300"} {
+		code, out := run("-scale", v)
+		if code != 1 || !strings.Contains(out, "workload: scale ") || strings.Contains(out, "== T3") {
+			t.Fatalf("-scale %s: exit %d, output %q; want exit 1 naming the scale and no experiment", v, code, out)
+		}
+	}
+}
+
+// experimentsRunner builds the command into a temporary directory and
+// returns that directory and a function that runs the binary on Table 3 at
+// a tiny scale plus args (a later flag overrides an earlier one), with its
+// exit code and combined output.
+func experimentsRunner(t *testing.T) (dir string, run func(args ...string) (int, string)) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds the experiments binary")
+	}
+	dir = t.TempDir()
+	bin := filepath.Join(dir, "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return dir, func(args ...string) (int, string) {
+		cmd := exec.Command(bin, append([]string{"-only", "T3", "-scale", "0.02"}, args...)...)
+		var out bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &out
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return exit.ExitCode(), out.String()
+		} else if err != nil {
+			t.Fatalf("%v\n%s", err, out.String())
+		}
+		return 0, out.String()
+	}
+}
+
+// countSimulations counts the records among one run's that are not memo
+// hits: how many times the run was simulated.
+func countSimulations(rs []record) int {
 	n := 0
 	for _, r := range rs {
-		if r.State != "memo-hit" && r.Attempts == 1 {
+		if r.State != "memo-hit" {
 			n++
 		}
 	}

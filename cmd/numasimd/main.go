@@ -39,7 +39,6 @@ func main() {
 		entries  = flag.Int("cache", 64, "result cache entries (LRU; -1 disables)")
 		reqTO    = flag.Duration("request-timeout", 60*time.Second, "per-request deadline, queue wait included")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "SIGTERM drain deadline for in-flight runs")
-		retries  = flag.Int("retries", 0, "re-attempts for a failed simulation")
 		recDepth = flag.Int("recorder-depth", 64, "flight-recorder events kept for failure bodies")
 		quiet    = flag.Bool("quiet", false, "suppress per-request logging")
 	)
@@ -56,7 +55,6 @@ func main() {
 		CacheEntries:   *entries,
 		RequestTimeout: *reqTO,
 		DrainTimeout:   *drainTO,
-		Retries:        *retries,
 		RecorderDepth:  *recDepth,
 		Logf:           logf,
 	})

@@ -46,6 +46,9 @@ func main() {
 	if *nodes < 1 || *nodes > tracesim.MaxNodes {
 		fatal(fmt.Errorf("-nodes %d out of range [1, %d]", *nodes, tracesim.MaxNodes))
 	}
+	if err := workload.CheckScale(*scale); err != nil {
+		fatal(err)
+	}
 	var tr *trace.Trace
 	trig := uint16(128)
 	switch {

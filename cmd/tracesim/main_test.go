@@ -57,6 +57,22 @@ func TestTriggerOutOfRangeRejected(t *testing.T) {
 	}
 }
 
+// TestScaleOutOfRangeRejected: a -scale no workload can be built at (not a
+// number, infinite, or past the page bound) must exit 1 naming the scale
+// instead of simulating the smallest workload.
+func TestScaleOutOfRangeRejected(t *testing.T) {
+	_, bin := buildTracesim(t)
+	for _, v := range []string{"NaN", "-Inf", "1e300"} {
+		stdout, stderr, code := runBin(t, bin, "-workload", "engineering", "-scale", v)
+		if code != 1 || stdout != "" {
+			t.Fatalf("-scale %s: exit %d, stdout %q; want exit 1 and no comparison", v, code, stdout)
+		}
+		if !strings.Contains(stderr, "workload: scale ") {
+			t.Fatalf("-scale %s: stderr %q does not name the scale", v, stderr)
+		}
+	}
+}
+
 // TestInRejectsForeignCPU runs the built binary on a two-record trace whose
 // second record names CPU 200: on an 8-node machine it must exit 1 with an
 // error naming the CPU instead of printing a policy comparison, while the

@@ -60,41 +60,14 @@ func TestHarnessPanicIsolation(t *testing.T) {
 	if f.Fingerprint == "" || !strings.Contains(f.Fingerprint, "Duration:7.000ms") {
 		t.Fatalf("fingerprint does not identify the failing options: %q", f.Fingerprint)
 	}
-	if f.Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (no retries configured)", f.Attempts)
-	}
-}
-
-// A transiently failing run succeeds within its retry budget and leaves no
-// failure record.
-func TestHarnessRetriesTransientFailure(t *testing.T) {
-	h := NewHarness(0.05, 1)
-	h.Retries = 2
-	h.RetryBackoff = time.Millisecond
-	var calls atomic.Int64
-	h.PreRun = func(string, core.Options) {
-		if calls.Add(1) <= 2 {
-			panic("transient")
-		}
-	}
-	res := h.Run("engineering", core.Options{Duration: 5 * sim.Millisecond})
-	if res.Failed || res.Elapsed <= 0 {
-		t.Fatalf("run failed despite retry budget: %+v", res)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3", got)
-	}
-	if len(FailedRuns(h.Records())) != 0 {
-		t.Fatalf("failures recorded for a run that recovered: %+v", FailedRuns(h.Records()))
-	}
 }
 
 // A run exceeding RunTimeout fails with TimedOut set. The child goroutine is
 // joined — the deadline propagates into the engine loop, so it exits
 // cooperatively (here the delay sits in the PreRun hook, so the join waits
 // out the hook; TestHarnessTimeoutStopsSimulation covers a genuinely long
-// simulation). The outcome is the attempt's own, never a race between it
-// and the deadline, so the harness must not return before the hook does.
+// simulation). The outcome is the run's own, never a race between it and
+// the deadline, so the harness must not return before the hook does.
 func TestHarnessRunTimeout(t *testing.T) {
 	h := NewHarness(0.05, 1)
 	h.KeepGoing = true
@@ -106,7 +79,7 @@ func TestHarnessRunTimeout(t *testing.T) {
 	}
 	res := h.Run("engineering", core.Options{Duration: 5 * sim.Millisecond})
 	if !hookDone.Load() {
-		t.Fatal("the harness returned before joining the timed-out attempt")
+		t.Fatal("the harness returned before joining the timed-out run")
 	}
 	if !res.Failed {
 		t.Fatal("timed-out run did not return the failure placeholder")
@@ -117,14 +90,12 @@ func TestHarnessRunTimeout(t *testing.T) {
 	}
 }
 
-// Hammer the harness from many goroutines with injected panics and retries at
-// once — run under -race, this shakes out locking mistakes in the memo,
-// failure, and metrics paths.
+// Hammer the harness from many goroutines with injected panics at once —
+// run under -race, this shakes out locking mistakes in the memo, failure,
+// and metrics paths.
 func TestHarnessFailureHammer(t *testing.T) {
 	h := NewHarness(0.05, 1)
 	h.KeepGoing = true
-	h.Retries = 1
-	h.RetryBackoff = time.Millisecond
 	var calls atomic.Int64
 	h.PreRun = func(string, core.Options) {
 		if calls.Add(1)%3 == 0 {
@@ -162,7 +133,7 @@ func TestHarnessFailureHammer(t *testing.T) {
 	if executed+hits != goroutines*uint64(len(durations)) {
 		t.Fatalf("executed %d + memo hits %d != %d calls", executed, hits, goroutines*len(durations))
 	}
-	// Successes and final failures both stay memoized, so each key executes
+	// Successes and failures both stay memoized, so each key executes
 	// exactly once.
 	if executed != uint64(len(durations)) {
 		t.Fatalf("executed = %d, want one per key (%d)", executed, len(durations))
@@ -174,11 +145,11 @@ func TestHarnessFailureHammer(t *testing.T) {
 	}
 }
 
-// A run's final failure stays in the memo like a success: a run that failed
-// once, even a failure that would not recur, answers every later call with
-// the same placeholder and is not simulated again. Retries is the one
-// re-attempt path. (Failed keys were once evicted, so every -keep-going
-// re-query of a failed run simulated the failure again.)
+// A run's failure stays in the memo like a success: a run that failed once,
+// even a failure that would not recur, answers every later call with the
+// same placeholder and is not simulated again. (Failed keys were once
+// evicted, so every -keep-going re-query of a failed run simulated the
+// failure again.)
 func TestHarnessFailureStaysMemoized(t *testing.T) {
 	h := NewHarness(0.05, 1)
 	h.KeepGoing = true
@@ -199,7 +170,7 @@ func TestHarnessFailureStaysMemoized(t *testing.T) {
 		t.Fatalf("second call got %+v, want the memoized failure placeholder", second)
 	}
 	if got := calls.Load(); got != 1 {
-		t.Fatalf("the failed run was attempted %d times, want 1", got)
+		t.Fatalf("the failed run was simulated %d times, want 1", got)
 	}
 	if executed, hits := h.Counters(); executed != 1 || hits != 1 {
 		t.Fatalf("executed=%d hits=%d, want 1 execution and 1 memo hit", executed, hits)
@@ -215,13 +186,11 @@ func TestHarnessFailureStaysMemoized(t *testing.T) {
 	}
 }
 
-// A failure that recurs on every attempt, asked for twice, is simulated once:
-// the first caller pays its 1+Retries attempts and panics, and the second
-// panics with the same text from the memo without an attempt of its own.
+// A failure that would recur on every run, asked for twice, is simulated
+// once: the first caller runs it and panics, and the second panics with the
+// same text from the memo without a simulation of its own.
 func TestHarnessDeterministicFailureRunsOnce(t *testing.T) {
 	h := NewHarness(0.05, 1)
-	h.Retries = 1
-	h.RetryBackoff = time.Millisecond
 	var calls atomic.Int64
 	h.PreRun = func(string, core.Options) {
 		calls.Add(1)
@@ -239,8 +208,8 @@ func TestHarnessDeterministicFailureRunsOnce(t *testing.T) {
 	if first != second {
 		t.Fatalf("the memoized failure panicked with %q, want the first caller's %q", second, first)
 	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("attempts = %d, want 2 (one run of 1+Retries attempts)", got)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("simulations = %d, want 1", got)
 	}
 	if executed, hits := h.Counters(); executed != 1 || hits != 1 {
 		t.Fatalf("executed=%d hits=%d, want 1 execution and 1 memo hit", executed, hits)

@@ -41,35 +41,29 @@ type Harness struct {
 	// concurrently; 0 or 1 runs every sweep serially in its loop order.
 	Workers int
 	// Logf, when set, receives one progress line per record (Record.String):
-	// each attempt's end, with its wall-clock time, and each memo hit.
+	// each simulation's end, with its wall-clock time, and each memo hit.
 	// Called from worker goroutines; the sink must be safe for concurrent use
 	// (fmt.Fprintf to one *os.File is).
 	Logf func(format string, args ...any)
-	// Retries is how many times a failed simulation (panic, error, or
-	// timeout) is re-attempted before it counts as failed.
-	Retries int
-	// RetryBackoff is the wall-clock pause before the first retry, doubling
-	// per attempt (default 100 ms).
-	RetryBackoff time.Duration
-	// RunTimeout, when positive, bounds each attempt's wall-clock time; a
+	// RunTimeout, when positive, bounds each run's wall-clock time; a
 	// run that exceeds it fails with a context.DeadlineExceeded error. The
 	// deadline propagates into the engine's run loop (cooperative
 	// cancellation polled every ~1k dispatched events), so a timed-out
 	// simulation actually stops within microseconds instead of being
 	// abandoned to burn CPU to its virtual deadline.
 	RunTimeout time.Duration
-	// KeepGoing turns a run's final failure into a placeholder Result
+	// KeepGoing turns a run's failure into a placeholder Result
 	// (Failed=true) instead of a panic, so the rest of a grid still
 	// completes; the failure stays in Records. Off, the first failure panics
 	// with the run's options fingerprint.
 	KeepGoing bool
 	// RecorderDepth, when positive, arms a failure flight recorder per
-	// attempt: a bounded ring over the run's last RecorderDepth typed obs
-	// events, dumped into a failed attempt's Record — a postmortem without
+	// simulation: a bounded ring over the run's last RecorderDepth typed obs
+	// events, dumped into a failed run's Record — a postmortem without
 	// re-running under full -events collection.
 	RecorderDepth int
-	// PreRun, when set, is called before each simulation attempt, inside the
-	// recovery scope (test hook: failure injection and attempt counting).
+	// PreRun, when set, is called before each simulation, inside the
+	// recovery scope (test hook: failure injection and run counting).
 	PreRun func(wl string, opt core.Options)
 
 	epoch   time.Time // the zero of every Record's wall_* fields
@@ -82,9 +76,9 @@ type Harness struct {
 }
 
 // runEntry is a memo slot: the first caller owns the simulation, later
-// callers block on done and read res. fail is the final failure's panic
-// text, empty after a success; a failed run keeps its slot, so it is
-// simulated once however often it is asked for.
+// callers block on done and read res. fail is the failure's panic text,
+// empty after a success; a failed run keeps its slot, so it is simulated
+// once however often it is asked for.
 type runEntry struct {
 	done chan struct{}
 	res  *core.Result
@@ -111,7 +105,7 @@ func (h *Harness) Counters() (executed, memoHits uint64) {
 }
 
 // Records returns every record of the runs made through Run, sorted by
-// workload, then id, then start time: each run's attempts and memo hits
+// workload, then id, then start time: each run's simulations and memo hits
 // together, in the order they happened.
 func (h *Harness) Records() []Record {
 	h.mu.Lock()
@@ -184,12 +178,13 @@ func (h *Harness) Run(wl string, opt core.Options) *core.Result {
 // RunContext is Run under a caller-supplied context: cancellation or a
 // deadline propagates into the simulation's engine loop, so an abandoned
 // query stops simulating instead of running to its virtual deadline. It is
-// the memo around attempt. A run's final failure, after its Retries, stays
-// in the memo like a success: every later caller gets the placeholder under
-// KeepGoing and the same panic otherwise, and Retries is the one re-attempt
-// path. Only a failure under the owner's own cancelled ctx is evicted (it
-// says nothing about the run), so a later caller re-runs it; waiters
-// already blocked on it still get the placeholder.
+// the memo around runOnce. A run is simulated once: the model is
+// deterministic, so a failure would recur on a re-run, and it stays in the
+// memo like a success; every later caller gets the placeholder under
+// KeepGoing and the same panic otherwise. Only a failure under the owner's
+// own cancelled ctx is evicted (it says nothing about the run), so a later
+// caller re-runs it; waiters already blocked on it still get the
+// placeholder.
 func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *core.Result {
 	opt.Seed = h.Seed
 	key := runKey(wl, opt)
@@ -217,12 +212,12 @@ func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *
 	// going down, but blocked goroutines should not obscure the original
 	// panic).
 	defer close(e.done)
-	res, last, err := h.attempt(ctx, wl, id, enter,
+	res, rec, err := h.runOnce(ctx, wl, id, enter,
 		func() *workload.Spec { return h.spec(wl) }, opt, true)
 	if err != nil {
 		e.res = &core.Result{Workload: wl, Policy: "failed", Failed: true}
-		e.fail = fmt.Sprintf("report: run %s id=%s failed after %d attempt(s): %v (options: %s)",
-			wl, id, last.Attempts, err, last.Fingerprint)
+		e.fail = fmt.Sprintf("report: run %s id=%s failed: %v (options: %s)",
+			wl, id, err, rec.Fingerprint)
 		if ctx.Err() != nil {
 			h.mu.Lock()
 			delete(h.runs, key)
@@ -237,71 +232,27 @@ func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *
 	return res
 }
 
-// attempt drives one run through up to 1+Retries attempts with doubling
-// wall-clock backoff, handing each attempt's record to h.record (kept when
-// keep is set) and returning the last one. waitFrom is when the run was
-// asked for, the start of the first attempt's wait. A cancelled caller
-// context short-circuits the retry chain: retrying work nobody is waiting
-// for would only burn CPU.
-func (h *Harness) attempt(ctx context.Context, wl, id string, waitFrom time.Duration, build func() *workload.Spec, opt core.Options, keep bool) (*core.Result, Record, error) {
-	h.executed.Add(1)
-	backoff := h.RetryBackoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	for attempts := 1; ; attempts++ {
-		r := Record{ID: id, Workload: wl, Attempts: attempts, WallStart: h.since()}
-		r.WallWait = r.WallStart - waitFrom
-		res, rec, err := h.runOnce(ctx, wl, build, opt)
-		r.WallEnd = h.since()
-		waitFrom = r.WallEnd
-		if err == nil {
-			r.State = StateDone
-			r.measure(res)
-			h.record(r, keep)
-			return res, r, nil
-		}
-		r.State, r.TimedOut = StateFailed, errors.Is(err, context.DeadlineExceeded)
-		if r.TimedOut {
-			r.State = StateTimeout
-		}
-		r.Fingerprint, r.Error = opt.Fingerprint(), err.Error()
-		r.Events, r.EventsDropped = rec.Dump()
-		h.record(r, keep)
-		if attempts > h.Retries || ctx.Err() != nil {
-			return nil, r, err
-		}
-		timer := time.NewTimer(backoff)
-		// The backoff races the caller's cancellation by design; both arms
-		// lead to a failure path, never into results.
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, r, err
-		}
-		backoff *= 2
-	}
-}
-
-// runOutcome carries one attempt's result out of its goroutine.
+// runOutcome carries one simulation's result out of its goroutine.
 type runOutcome struct {
 	res *core.Result
 	err error
 }
 
-// runOnce executes one simulation attempt in a child goroutine so a panic in
-// the workload or kernel layers becomes an error on this worker instead of
-// tearing the process (and every other concurrent run) down. Each attempt
-// gets its own flight recorder (when RecorderDepth is set), teed with the
-// caller's EventSink, so a retry's dump never mixes attempts.
+// runOnce executes one simulation in a child goroutine so a panic in the
+// workload or kernel layers becomes an error on this worker instead of
+// tearing the process (and every other concurrent run) down. It hands the
+// run's record to h.record (kept when keep is set) and returns it; waitFrom
+// is when the run was asked for, the start of its wait. Each run gets its
+// own flight recorder (when RecorderDepth is set), teed with the caller's
+// EventSink.
 //
-// The attempt runs under ctx plus the harness's RunTimeout. Cancellation is
+// The simulation runs under ctx plus the harness's RunTimeout. Cancellation is
 // cooperative: core.RunContext installs an engine-loop check polled every
 // ~1k events, so the child goroutine is always joined here — a timed-out run
 // stops simulating within microseconds instead of being abandoned to burn
 // CPU (the pre-context design leaked exactly that goroutine).
-func (h *Harness) runOnce(ctx context.Context, wl string, build func() *workload.Spec, opt core.Options) (*core.Result, *obs.Recorder, error) {
+func (h *Harness) runOnce(ctx context.Context, wl, id string, waitFrom time.Duration, build func() *workload.Spec, opt core.Options, keep bool) (*core.Result, Record, error) {
+	h.executed.Add(1)
 	var rec *obs.Recorder
 	if h.RecorderDepth > 0 {
 		rec = obs.NewRecorder(h.RecorderDepth)
@@ -312,36 +263,51 @@ func (h *Harness) runOnce(ctx context.Context, wl string, build func() *workload
 		ctx, cancel = context.WithTimeout(ctx, h.RunTimeout)
 		defer cancel()
 	}
+	r := Record{ID: id, Workload: wl, WallStart: h.since()}
+	r.WallWait = r.WallStart - waitFrom
 	ch := make(chan runOutcome, 1)
 	go func() {
 		defer func() {
-			if r := recover(); r != nil {
-				ch <- runOutcome{err: fmt.Errorf("panic: %v", r)}
+			if p := recover(); p != nil {
+				ch <- runOutcome{err: fmt.Errorf("panic: %v", p)}
 			}
 		}()
 		if h.PreRun != nil {
 			h.PreRun(wl, opt)
 		}
-		r, e := core.RunContext(ctx, build(), opt)
-		ch <- runOutcome{res: r, err: e}
+		res, err := core.RunContext(ctx, build(), opt)
+		ch <- runOutcome{res: res, err: err}
 	}()
 	out := <-ch
-	return out.res, rec, out.err
+	r.WallEnd = h.since()
+	if out.err == nil {
+		r.State = StateDone
+		r.measure(out.res)
+		h.record(r, keep)
+		return out.res, r, nil
+	}
+	r.State, r.TimedOut = StateFailed, errors.Is(out.err, context.DeadlineExceeded)
+	if r.TimedOut {
+		r.State = StateTimeout
+	}
+	r.Fingerprint, r.Error = opt.Fingerprint(), out.err.Error()
+	r.Events, r.EventsDropped = rec.Dump()
+	h.record(r, keep)
+	return nil, r, out.err
 }
 
 // Execute runs one simulation through the harness's hardening — panic
-// isolation in a child goroutine, the retry chain with backoff, the
-// per-attempt flight recorder, RunTimeout and ctx cancellation propagated
-// into the engine loop — without the memo. It returns the final attempt's
-// record instead of keeping it: a long-running server keeps one Harness for
-// the life of the process, so Execute must not grow anything per request,
-// and caching is the caller's policy (internal/serve keys a bounded LRU on
-// the options fingerprint).
+// isolation in a child goroutine, the flight recorder, RunTimeout and ctx
+// cancellation propagated into the engine loop — without the memo. It
+// returns the run's record instead of keeping it: a long-running server
+// keeps one Harness for the life of the process, so Execute must not grow
+// anything per request, and caching is the caller's policy (internal/serve
+// keys a bounded LRU on the normalized request).
 //
 // Unlike Run, opt is used verbatim: requests carry their own Seed. build is
-// called once per attempt for a fresh spec (specs hold generator state).
+// called once for a fresh spec (specs hold generator state).
 func (h *Harness) Execute(ctx context.Context, label string, build func() *workload.Spec, opt core.Options) (*core.Result, Record, error) {
-	return h.attempt(ctx, label, keyID(label+"|"+opt.Fingerprint()), h.since(), build, opt, false)
+	return h.runOnce(ctx, label, keyID(label+"|"+opt.Fingerprint()), h.since(), build, opt, false)
 }
 
 // FT runs the first-touch baseline for a workload.

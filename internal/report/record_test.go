@@ -4,54 +4,68 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"ccnuma/internal/core"
 	"ccnuma/internal/obs"
 	"ccnuma/internal/sim"
 )
 
-// TestHarnessSpansLifecycle walks one run through a failure, a retry backoff,
-// a successful attempt, and a memo hit, and requires the records to say so
-// and the timeline drawn from them to show each stage.
+// TestHarnessSpansLifecycle walks two runs through the harness: one fails
+// and is answered once more from the memo, the other succeeds and is
+// answered once more from the memo. The records must say so and the
+// timeline drawn from them must show each stage.
 func TestHarnessSpansLifecycle(t *testing.T) {
 	h := NewHarness(0.05, 1)
-	h.Retries = 1
-	h.RetryBackoff = time.Millisecond
-	var calls atomic.Int64
-	h.PreRun = func(string, core.Options) {
-		if calls.Add(1) == 1 {
-			panic("transient")
+	h.KeepGoing = true
+	poison := 6 * sim.Millisecond
+	h.PreRun = func(_ string, opt core.Options) {
+		if opt.Duration == poison {
+			panic("injected failure")
 		}
 	}
-	opt := core.Options{Duration: 5 * sim.Millisecond}
-	if res := h.Run("engineering", opt); res.Failed {
-		t.Fatalf("run failed despite retry budget: %+v", res)
+	bad, good := core.Options{Duration: poison}, core.Options{Duration: 5 * sim.Millisecond}
+	if res := h.Run("engineering", bad); !res.Failed {
+		t.Fatalf("poisoned run did not fail: %+v", res)
 	}
-	h.Run("engineering", opt) // answered from the memo
+	h.Run("engineering", bad) // the failure, answered from the memo
+	if res := h.Run("engineering", good); res.Failed {
+		t.Fatalf("healthy run failed: %+v", res)
+	}
+	h.Run("engineering", good) // the success, answered from the memo
 
 	recs := h.Records()
-	var got []string
+	byID := map[string][]Record{}
 	for _, r := range recs {
-		got = append(got, fmt.Sprintf("%s/%d", r.State, r.Attempts))
-		if r.ID != recs[0].ID || len(r.ID) != 16 || r.Workload != "engineering" {
+		byID[r.ID] = append(byID[r.ID], r)
+		if len(r.ID) != 16 || r.Workload != "engineering" {
 			t.Fatalf("record missing identity: %+v", r)
 		}
 		if r.WallEnd < r.WallStart || r.WallWait < 0 {
 			t.Fatalf("record ends before it starts: %+v", r)
 		}
 	}
-	if want := "failed/1 done/2 memo-hit/0"; strings.Join(got, " ") != want {
-		t.Fatalf("records = %v, want %s", got, want)
+	var got []string
+	for _, rs := range byID {
+		var states []string
+		for _, r := range rs {
+			states = append(states, r.State)
+		}
+		got = append(got, strings.Join(states, ","))
 	}
-	if recs[2].Elapsed != recs[1].Elapsed || recs[2].Policy != recs[1].Policy {
-		t.Fatalf("memo hit does not describe the memoized result: %+v vs %+v", recs[2], recs[1])
+	sort.Strings(got)
+	if want := "done,memo-hit failed,memo-hit"; strings.Join(got, " ") != want {
+		t.Fatalf("records per run = %v, want %s", got, want)
 	}
-	if f := FailedRuns(recs); len(f) != 0 {
-		t.Fatalf("a run that recovered is listed as failed: %+v", f)
+	for _, rs := range byID {
+		if rs[0].State == StateDone && (rs[1].Elapsed != rs[0].Elapsed || rs[1].Policy != rs[0].Policy) {
+			t.Fatalf("memo hit does not describe the memoized result: %+v vs %+v", rs[1], rs[0])
+		}
+	}
+	if f := FailedRuns(recs); len(f) != 1 || f[0].State != StateFailed {
+		t.Fatalf("failed runs = %+v, want the one failed simulation", f)
 	}
 
 	states := map[string]int{}
@@ -60,40 +74,28 @@ func TestHarnessSpansLifecycle(t *testing.T) {
 		if s.end < s.start {
 			t.Fatalf("slice ends before it starts: %+v", s)
 		}
-		switch s.state {
-		case StateMemoHit:
-			if s.lane != memoLane {
-				t.Fatalf("memo hit drawn on a worker lane: %+v", s)
-			}
-		case StateFailed:
-			if s.rec.Attempts != 1 {
-				t.Fatalf("failed slice attempt = %d, want 1", s.rec.Attempts)
-			}
-		case "running":
-			if s.rec.Attempts != 2 {
-				t.Fatalf("running slice attempt = %d, want 2", s.rec.Attempts)
-			}
+		if (s.state == StateMemoHit) != (s.lane == memoLane) {
+			t.Fatalf("%s slice drawn on lane %d: %+v", s.state, s.lane, s)
 		}
 	}
-	for _, want := range []string{"queued", StateFailed, "retry", "running", StateMemoHit} {
-		if states[want] == 0 {
-			t.Fatalf("timeline missing a %q slice: %v", want, states)
-		}
+	want := map[string]int{"queued": 2, StateFailed: 1, "running": 1, StateMemoHit: 2}
+	if fmt.Sprint(states) != fmt.Sprint(want) {
+		t.Fatalf("timeline slices = %v, want %v", states, want)
 	}
 }
 
 // TestWriteSpansChromeTrace checks the wire format and the lanes: valid
 // trace-event JSON, a harness process, one thread per lane plus the memo
-// thread, two complete events per attempt and one per memo hit, all carrying
-// the record's identity. Two overlapping attempts take two lanes; an attempt
-// that starts after both reuses lane 0.
+// thread, two complete events per simulation and one per memo hit, all
+// carrying the record's identity. Two overlapping simulations take two
+// lanes; one that starts after both reuses lane 0.
 func TestWriteSpansChromeTrace(t *testing.T) {
 	recs := []Record{
-		{Workload: "engineering", ID: "00ab", State: StateDone, Attempts: 1, WallWait: 500, WallStart: 1000, WallEnd: 9000},
+		{Workload: "engineering", ID: "00ab", State: StateDone, WallWait: 500, WallStart: 1000, WallEnd: 9000},
 		{Workload: "raytrace", ID: "00cd", State: StateMemoHit, WallStart: 2000, WallEnd: 2200},
-		{Workload: "splash", ID: "00ef", State: StateTimeout, Attempts: 1, WallStart: 3000, WallEnd: 5000},
-		{Workload: "splash", ID: "00ef", State: StateDone, Attempts: 2, WallWait: 1000, WallStart: 6000, WallEnd: 7000},
-		{Workload: "database", ID: "0101", State: StateDone, Attempts: 1, WallStart: 9500, WallEnd: 9900},
+		{Workload: "splash", ID: "00ef", State: StateTimeout, WallStart: 3000, WallEnd: 5000},
+		{Workload: "pmake", ID: "00f1", State: StateDone, WallWait: 1000, WallStart: 6000, WallEnd: 7000},
+		{Workload: "database", ID: "0101", State: StateDone, WallStart: 9500, WallEnd: 9900},
 	}
 	var buf bytes.Buffer
 	if err := WriteSpans(&buf, recs); err != nil {
@@ -121,11 +123,8 @@ func TestWriteSpansChromeTrace(t *testing.T) {
 		case "X":
 			slices++
 			lane[e.Name] = e.TID
-			if e.Args["id"] == "" || e.Args["state"] == "" {
-				t.Fatalf("slice lost its identity: %v", e.Args)
-			}
-			if e.Name == "splash running" && e.Args["attempt"].(float64) != 2 {
-				t.Fatalf("running slice lost its attempt: %v", e.Args)
+			if e.Args["id"] == "" || e.Args["state"] == "" || len(e.Args) != 2 {
+				t.Fatalf("slice args = %v, want its id and state", e.Args)
 			}
 		default:
 			t.Fatalf("unexpected phase %q", e.Ph)
@@ -139,7 +138,7 @@ func TestWriteSpansChromeTrace(t *testing.T) {
 	}
 	for name, want := range map[string]int{
 		"engineering queued": 0, "engineering running": 0, "raytrace memo-hit": memoLane,
-		"splash queued": 1, "splash timeout": 1, "splash retry": 1, "splash running": 1,
+		"splash queued": 1, "splash timeout": 1, "pmake queued": 1, "pmake running": 1,
 		"database running": 0,
 	} {
 		if got, ok := lane[name]; !ok || got != want {
@@ -148,24 +147,25 @@ func TestWriteSpansChromeTrace(t *testing.T) {
 	}
 }
 
-// TestFailedRunsPicksLastAttempt: a failed run is named once, by its last
-// attempt; an attempt that was retried is not a failed run, and a run that
-// failed, was evicted and then succeeded still counts its first execution.
-func TestFailedRunsPicksLastAttempt(t *testing.T) {
+// TestFailedRunsFiltersFailures: a failed or timed-out simulation is a
+// failed run, and a memo hit on it is not another one; a run that failed
+// under a cancelled context, was evicted and then succeeded still counts its
+// failed simulation.
+func TestFailedRunsFiltersFailures(t *testing.T) {
 	recs := []Record{
-		{ID: "a", State: StateFailed, Attempts: 1},
+		{ID: "a", State: StateFailed},
 		{ID: "a", State: StateMemoHit},
-		{ID: "a", State: StateTimeout, Attempts: 2},
-		{ID: "a", State: StateDone, Attempts: 1},
-		{ID: "b", State: StateFailed, Attempts: 1},
-		{ID: "b", State: StateDone, Attempts: 2},
-		{ID: "c", State: StateFailed, Attempts: 1},
+		{ID: "b", State: StateFailed},
+		{ID: "b", State: StateDone},
+		{ID: "c", State: StateTimeout},
+		{ID: "d", State: StateDone},
+		{ID: "d", State: StateMemoHit},
 	}
 	var got []string
 	for _, r := range FailedRuns(recs) {
-		got = append(got, fmt.Sprintf("%s/%d", r.ID, r.Attempts))
+		got = append(got, r.ID+"/"+r.State)
 	}
-	if want := "a/2 c/1"; strings.Join(got, " ") != want {
+	if want := "a/failed b/failed c/timeout"; strings.Join(got, " ") != want {
 		t.Fatalf("failed runs = %v, want %s", got, want)
 	}
 }

@@ -67,6 +67,11 @@ func checkRequest(t *testing.T, body []byte) (key string, run built, ok bool) {
 func FuzzRequest(f *testing.F) {
 	f.Add([]byte(`{"workload":"engineering"}`),
 		[]byte(`{"workload":"engineering","policy":"migrep","config":"ccnuma","metric":"fc","scale":1,"seed":42}`))
+	// Scales that once built the smallest workload without a word: JSON
+	// spells no NaN or infinity, so those two fail to decode, and 1e300 must
+	// fail normalize.
+	f.Add([]byte(`{"workload":"engineering","scale":NaN}`), []byte(`{"workload":"engineering","scale":1e300}`))
+	f.Add([]byte(`{"workload":"engineering","scale":1e400}`), []byte(`{"workload":"engineering","scale":-1e400}`))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		ka, runA, okA := checkRequest(t, a)
 		kb, runB, okB := checkRequest(t, b)

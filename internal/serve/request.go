@@ -25,7 +25,7 @@ type Request struct {
 	Policy string `json:"policy,omitempty"`
 	// Config is the machine preset: ccnuma|ccnow|zeronet (empty = ccnuma).
 	Config string `json:"config,omitempty"`
-	// Scale is the workload scale factor (0 = 1.0).
+	// Scale is the workload scale factor (0 = 1.0; see workload.CheckScale).
 	Scale float64 `json:"scale,omitempty"`
 	// Seed is the run's random seed. Absent means 42, the CLI default; the
 	// pointer keeps an explicit seed of 0 distinct from "use the default".
@@ -65,7 +65,7 @@ type Job struct {
 	// Opt is the assembled option set.
 	Opt core.Options
 	// Spec builds a fresh workload spec (specs hold generator state, so one
-	// is built per attempt).
+	// is built per run).
 	Spec func() *workload.Spec
 	// Stream mirrors Request.Stream.
 	Stream bool
@@ -77,8 +77,8 @@ type Job struct {
 // knobs (Trigger, Adaptive, Reclaim, MigWriteShared, NoRemap) under rr or
 // ft, which ignore them. Its errors are user errors (HTTP 400) and are all
 // the errors Build can return: an unknown workload, policy, config or
-// metric, a bad scale, or an invalid fault config. It never writes through
-// r.Seed or r.Faults, which the caller may share.
+// metric, a scale workload.CheckScale rejects, or an invalid fault config.
+// It never writes through r.Seed or r.Faults, which the caller may share.
 func (r *Request) normalize() error {
 	if r.Workload == "" {
 		return fmt.Errorf("serve: missing workload")
@@ -89,8 +89,8 @@ func (r *Request) normalize() error {
 	if r.Scale == 0 {
 		r.Scale = 1.0
 	}
-	if r.Scale < 0 {
-		return fmt.Errorf("serve: negative scale %v", r.Scale)
+	if err := workload.CheckScale(r.Scale); err != nil {
+		return err
 	}
 	if r.Seed == nil {
 		seed := uint64(defaultSeed)

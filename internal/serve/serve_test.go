@@ -131,6 +131,9 @@ func TestBadRequests(t *testing.T) {
 		{"unknown metric", `{"workload":"engineering","metric":"wat"}`, ""},
 		{"missing workload", `{}`, ""},
 		{"negative scale", `{"workload":"engineering","scale":-1}`, ""},
+		{"scale past the page bound", `{"workload":"engineering","scale":1e300}`, "workload: scale 1e+300 out of range (0, 1048576]"},
+		{"scale past float64", `{"workload":"engineering","scale":1e400}`, ""},
+		{"NaN scale", `{"workload":"engineering","scale":NaN}`, ""},
 		{"bad fault config", `{"workload":"engineering","faults":{"drop_batch":2}}`, ""},
 		{"slow factor past the cap", `{"workload":"engineering","faults":{"slow_node":1,"slow_factor":1e300}}`, "fault: SlowFactor 1e+300 above the cap of 1000"},
 		{"not json", `hello`, ""},
@@ -435,8 +438,8 @@ func TestRequestDeadline(t *testing.T) {
 
 // failureKeys checks the failure object of an error body keeps the keys
 // clients read — workload (the run's label), a 16-hex-digit id, fingerprint,
-// error, attempts and timed_out, plus the listed optional keys — with the
-// values of a run that failed on its only attempt.
+// error and timed_out, plus the listed optional keys — with the values of
+// the failed run.
 func failureKeys(t *testing.T, body []byte, label string, timedOut bool, optional ...string) {
 	t.Helper()
 	var raw struct {
@@ -446,7 +449,7 @@ func failureKeys(t *testing.T, body []byte, label string, timedOut bool, optiona
 		t.Fatalf("no failure object in %s", body)
 	}
 	f := raw.Failure
-	for _, k := range append([]string{"workload", "id", "fingerprint", "error", "attempts", "timed_out"}, optional...) {
+	for _, k := range append([]string{"workload", "id", "fingerprint", "error", "timed_out"}, optional...) {
 		if _, ok := f[k]; !ok {
 			t.Fatalf("failure body lost key %q: %v", k, f)
 		}
@@ -455,9 +458,9 @@ func failureKeys(t *testing.T, body []byte, label string, timedOut bool, optiona
 	if _, err := strconv.ParseUint(id, 16, 64); err != nil || len(id) != 16 {
 		t.Fatalf("failure id %q is not 16 hex digits", id)
 	}
-	if f["workload"] != label || f["attempts"] != 1.0 || f["timed_out"] != timedOut {
-		t.Fatalf("failure body = workload %v attempts %v timed_out %v; want %s, 1, %v",
-			f["workload"], f["attempts"], f["timed_out"], label, timedOut)
+	if f["workload"] != label || f["timed_out"] != timedOut {
+		t.Fatalf("failure body = workload %v timed_out %v; want %s, %v",
+			f["workload"], f["timed_out"], label, timedOut)
 	}
 }
 

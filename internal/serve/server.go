@@ -34,17 +34,15 @@ type Config struct {
 	// DrainTimeout bounds Shutdown's wait for in-flight runs (default 30s);
 	// past it, stragglers are cancelled cooperatively and still joined.
 	DrainTimeout time.Duration
-	// Retries and RecorderDepth configure the underlying report.Harness: how
-	// many times a failed run is re-attempted, and how many trailing obs
-	// events the failure flight recorder keeps for the failure body
-	// (defaults 0 and 64).
-	Retries       int
+	// RecorderDepth is how many trailing obs events the underlying
+	// report.Harness's failure flight recorder keeps for the failure body
+	// (default 64).
 	RecorderDepth int
 	// MaxBodyBytes bounds the request body (default 1 MiB).
 	MaxBodyBytes int64
 	// Logf, when set, receives one line per lifecycle transition and one per
-	// run attempt (the harness logs each attempt's record through it). Must
-	// be safe for concurrent use.
+	// simulation (the harness logs each run's record through it). Must be
+	// safe for concurrent use.
 	Logf func(format string, args ...any)
 }
 
@@ -124,9 +122,7 @@ var errorStatuses = [...]int{
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	h := report.NewHarness(1.0, 0)
-	h.Retries = cfg.Retries
 	h.RecorderDepth = cfg.RecorderDepth
-	h.RunTimeout = cfg.RequestTimeout
 	h.Logf = cfg.Logf
 	ctx, cancel := context.WithCancel(context.Background())
 	entries := cfg.CacheEntries
@@ -161,9 +157,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // errorBody is the JSON shape of every non-2xx response: a human-readable
-// error plus, when a simulation actually failed, the run's last harness
-// record (options fingerprint, attempts, flight-recorder dump) — a crash is
-// a diagnosable response, not a dead connection.
+// error plus, when a simulation actually failed, the run's harness record
+// (options fingerprint, timed_out, flight-recorder dump) — a crash is a
+// diagnosable response, not a dead connection.
 type errorBody struct {
 	Error   string         `json:"error"`
 	Failure *report.Record `json:"failure,omitempty"`
@@ -196,7 +192,7 @@ func writeError(w http.ResponseWriter, status int, body errorBody) {
 	enc.Encode(body) //nolint:errcheck // nothing left to do for a gone client
 }
 
-// runError carries a simulation failure (with its last record) out of the
+// runError carries a simulation failure (with its record) out of the
 // cache fill so the handler can map it to a status code.
 type runError struct {
 	fail *report.Record

@@ -12,6 +12,7 @@ import (
 
 	"ccnuma/internal/mem"
 	"ccnuma/internal/sim"
+	"ccnuma/internal/trace"
 )
 
 // StepKind classifies a generator step.
@@ -188,10 +189,16 @@ type Spec struct {
 	MemoryPerNode int64
 }
 
-// Validate reports the first inconsistency in the spec.
+// Validate reports the first inconsistency in the spec. A footprint past
+// trace.MaxPages is one: its miss trace could not be replayed, and Splash,
+// whose machine memory grows with its footprint, would size its tables
+// without bound.
 func (s *Spec) Validate() error {
 	if s.Pages <= 0 {
 		return fmt.Errorf("workload %s: no pages", s.Name)
+	}
+	if s.Pages > trace.MaxPages {
+		return fmt.Errorf("workload %s: %d pages exceed the bound of %d", s.Name, s.Pages, trace.MaxPages)
 	}
 	if len(s.Procs) == 0 {
 		return fmt.Errorf("workload %s: no processes", s.Name)
@@ -239,6 +246,19 @@ func ByName(name string) (Builder, error) {
 // Names lists the five workloads in the paper's order.
 func Names() []string {
 	return []string{"engineering", "raytrace", "splash", "database", "pmake"}
+}
+
+// CheckScale rejects a scale factor no workload can be built at: one that is
+// not positive, not a number, or above trace.MaxPages, where even a one-page
+// region would name more pages than a trace may hold. The builders size
+// regions through scaled, which would turn such a factor into the smallest
+// workload without a word (an enormous product overflows int, and NaN
+// converts arbitrarily); front ends check the scale here before building.
+func CheckScale(scale float64) error {
+	if !(scale > 0 && scale <= trace.MaxPages) {
+		return fmt.Errorf("workload: scale %v out of range (0, %d]", scale, trace.MaxPages)
+	}
+	return nil
 }
 
 func scaled(n int, scale float64) int {

@@ -1,11 +1,13 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"ccnuma/internal/mem"
 	"ccnuma/internal/sim"
+	"ccnuma/internal/trace"
 )
 
 func TestAllWorkloadsBuildAndValidate(t *testing.T) {
@@ -248,6 +250,34 @@ func TestChunkDisjointInteriors(t *testing.T) {
 func TestScaled(t *testing.T) {
 	if scaled(100, 0.5) != 50 || scaled(1, 0.01) != 1 || scaled(10, 2) != 20 {
 		t.Fatal("scaled() wrong")
+	}
+}
+
+// TestCheckScale: positive scales up to trace.MaxPages build workloads;
+// zero, negative, non-finite and larger ones are refused.
+func TestCheckScale(t *testing.T) {
+	for _, ok := range []float64{0.01, 1, trace.MaxPages} {
+		if err := CheckScale(ok); err != nil {
+			t.Fatalf("CheckScale(%v) = %v, want nil", ok, err)
+		}
+	}
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, trace.MaxPages + 1} {
+		if err := CheckScale(bad); err == nil {
+			t.Fatalf("CheckScale(%v) accepted a scale no workload can be built at", bad)
+		}
+	}
+}
+
+// TestFootprintBounded: a spec whose footprint passes trace.MaxPages is
+// invalid. Splash sizes its machine by its footprint, so at scale 1000 it
+// once got past core's memory check and panicked sizing its line tables.
+func TestFootprintBounded(t *testing.T) {
+	s := Splash(1000, 1)
+	if s.Pages <= trace.MaxPages {
+		t.Fatalf("splash at scale 1000 has %d pages; the test needs more than %d", s.Pages, trace.MaxPages)
+	}
+	if err := s.Validate(); err == nil {
+		t.Fatalf("a %d-page spec validated", s.Pages)
 	}
 }
 
