@@ -61,12 +61,16 @@ golden-1cpu:
 # probe, falling back to Lookup on a miss, leaves the same answers, stats and
 # ways as Lookup alone, and no wired page ever enters a TLB. The frame
 # allocator fills its free lists on demand; TestAllocatorMatchesEager holds
-# it to the eager pre-filled allocator it replaced, call for call.
-PROBE_TESTS = TestHitMRUMatchesLookup|TestWiredPagesNeverInTLB|TestAllocatorMatchesEager
+# it to the eager pre-filled allocator it replaced, call for call. The caches
+# invalidate stale copies eagerly, at the write or page move; the two
+# reference-model tests hold one cache and several CPUs' hierarchies on one
+# Validity to the lazy two-stamp model that design replaced.
+CACHE_REF_TESTS = TestCacheMatchesReferenceModel|TestHierarchiesMatchReferenceModel
+PROBE_TESTS = TestHitMRUMatchesLookup|TestWiredPagesNeverInTLB|TestAllocatorMatchesEager|$(CACHE_REF_TESTS)
 
 probe-check:
 	$(call named,./internal/tlb,TestHitMRUMatchesLookup)
-	$(call named,./internal/cache,TestHitMRUMatchesLookup)
+	$(call named,./internal/cache,TestHitMRUMatchesLookup|$(CACHE_REF_TESTS))
 	$(call named,./internal/core,TestWiredPagesNeverInTLB)
 	$(call named,./internal/kernel/alloc,TestAllocatorMatchesEager)
 	$(GO) test -count=1 -run '^($(PROBE_TESTS))$$' ./internal/tlb ./internal/cache ./internal/core \
@@ -99,14 +103,21 @@ fault-smoke:
 # on what is a 400, and equal cache keys build equal runs). FuzzTrace: the
 # foreign traces tracesim -in reads (trace.Read and Validate refuse or pass
 # a trace, which then simulates under every policy without a panic, the same
-# way twice). The checked-in corpora under internal/*/testdata/fuzz also run
-# in every go test. Minimization is capped because the default 60 s can
-# stall a 10 s run on one input.
+# way twice). FuzzFaultConfig: fault.Config.Validate never panics and accepts
+# only finite fractions in range. FuzzKindJSON: obs.Kind.UnmarshalJSON never
+# panics and an accepted kind marshals back to its name. The checked-in
+# corpora under internal/*/testdata/fuzz also run in every go test.
+# Minimization is capped because the default 60 s can stall a 10 s run on
+# one input.
 fuzz-smoke:
 	$(call named,./internal/serve,FuzzRequest)
 	$(call named,./internal/tracesim,FuzzTrace)
+	$(call named,./internal/fault,FuzzFaultConfig)
+	$(call named,./internal/obs,FuzzKindJSON)
 	$(GO) test -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/tracesim
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultConfig$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzKindJSON$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/obs
 
 # One cheap iteration of the trace-simulator benchmark proves the bench
 # harness still builds and runs end to end; one of BenchmarkReadChains keeps

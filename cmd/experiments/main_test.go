@@ -19,6 +19,8 @@ type record struct {
 	ID       string `json:"id"`
 	Workload string `json:"workload"`
 	State    string `json:"state"`
+	Policy   string `json:"policy"`
+	TimedOut bool   `json:"timed_out"`
 }
 
 // TestRecordOutputsAgree runs the built binary end to end on Table 3 at a
@@ -48,10 +50,16 @@ func TestRecordOutputsAgree(t *testing.T) {
 	}
 
 	// A failed run stays in the memo: T3 asks for each of its runs twice,
-	// and each is simulated once.
+	// and each is simulated once. A memo hit on it reports the timeout and
+	// no policy, as the run's own record does.
 	for id, rs := range byID {
 		if n := countSimulations(rs); n != 1 {
 			t.Fatalf("run %s was simulated %d times, want 1: %+v", id, n, rs)
+		}
+		for _, r := range rs {
+			if r.Policy != "" || !r.TimedOut {
+				t.Fatalf("record %+v of a timed-out run: want no policy and timed_out", r)
+			}
 		}
 	}
 	if want := fmt.Sprintf(": %d simulations run, %d served from memo", len(byID), len(byID)); !strings.Contains(out, want) {
@@ -122,6 +130,9 @@ func TestRecordOutputsAgree(t *testing.T) {
 		case "done":
 			done++
 		case "memo-hit":
+			if r.Policy == "" || r.TimedOut {
+				t.Fatalf("memo hit %+v on a finished run: want its policy and no timeout", r)
+			}
 		default:
 			t.Fatalf("record %+v in a run that should not fail", r)
 		}

@@ -6,14 +6,18 @@ import (
 	"ccnuma/internal/mem"
 )
 
-// noTag marks an empty way. NewValidity refuses tables of 2^32-1 lines or
-// more, so no line the caches can hold truncates to it.
-const noTag = ^uint32(0)
+// A way's tag is the line it holds, the line with staleBit set once a write
+// or a page move has invalidated the copy, or noTag when the way is empty.
+// NewValidity refuses machines of 2^31-1 lines or more, so a line never
+// reaches staleBit and a stale tag never equals noTag.
+const (
+	staleBit = uint32(1) << 31
+	noTag    = ^uint32(0)
+)
 
-// entry is one 8-byte way; stamp is Validity.stamp of the line at fill time.
+// entry is one 4-byte way.
 type entry struct {
-	tag   uint32 // uint32(line), or noTag
-	stamp uint32
+	tag uint32
 }
 
 // Cache is one set-associative cache level. It is a behavioural model: it
@@ -25,7 +29,6 @@ type Cache struct {
 	mask    uint64 // sets-1 when sets is a power of two
 	pow2    bool
 	ways    []entry // sets*assoc, way 0 of a set is most recently used
-	val     *Validity
 	name    string
 	hits    uint64
 	misses  uint64
@@ -33,15 +36,15 @@ type Cache struct {
 }
 
 // New builds a cache of sizeBytes capacity with the given associativity,
-// using mem.LineSize lines, validated against val.
+// using mem.LineSize lines, and registers it with val, whose bumps invalidate
+// its copies.
 func New(name string, sizeBytes, assoc int, val *Validity) *Cache {
 	lines := sizeBytes / mem.LineSize
 	if lines <= 0 || assoc <= 0 || lines%assoc != 0 {
 		panic(fmt.Sprintf("cache %s: bad geometry size=%d assoc=%d", name, sizeBytes, assoc))
 	}
 	sets := lines / assoc
-	c := &Cache{sets: sets, assoc: assoc, val: val, name: name,
-		ways: make([]entry, lines)}
+	c := &Cache{sets: sets, assoc: assoc, name: name, ways: make([]entry, lines)}
 	// Every realistic geometry has a power-of-two set count; indexing by
 	// mask instead of modulo keeps an idiv out of every access.
 	if sets&(sets-1) == 0 {
@@ -50,6 +53,7 @@ func New(name string, sizeBytes, assoc int, val *Validity) *Cache {
 	for i := range c.ways {
 		c.ways[i].tag = noTag
 	}
+	val.caches = append(val.caches, c)
 	return c
 }
 
@@ -78,11 +82,11 @@ func (c *Cache) set(l mem.GLine) []entry {
 }
 
 // HitMRU probes only the MRU way (way 0) of line l's set. A valid copy
-// there (current stamp) counts a hit and returns true; anything
-// else changes nothing, so the caller can fall back to Lookup with identical
-// state and statistics (Lookup then drops a stale way-0 copy).
+// there counts a hit and returns true; anything else changes nothing, so the
+// caller can fall back to Lookup with identical state and statistics (Lookup
+// then drops a stale way-0 copy).
 func (c *Cache) HitMRU(l mem.GLine) bool {
-	if e := &c.ways[c.mru(l)]; e.tag == uint32(l) && e.stamp == c.val.stamp(l) {
+	if c.ways[c.mru(l)].tag == uint32(l) {
 		c.hits++
 		return true
 	}
@@ -90,8 +94,8 @@ func (c *Cache) HitMRU(l mem.GLine) bool {
 }
 
 // Lookup probes the cache for line l. On a hit the entry is refreshed to
-// most-recently-used and true is returned. A cached copy whose stamp is out
-// of date counts as a miss (the stale copy is dropped).
+// most-recently-used and true is returned. A stale copy counts as a miss
+// (the stale copy is dropped).
 func (c *Cache) Lookup(l mem.GLine) bool {
 	// Way 0 is MRU and takes the overwhelming majority of hits; resolving it
 	// first skips the move-to-front shuffle (a no-op at i=0) entirely.
@@ -99,46 +103,35 @@ func (c *Cache) Lookup(l mem.GLine) bool {
 		return true
 	}
 	set, tag := c.set(l), uint32(l)
-	if set[0].tag == tag { // present but stale
-		set[0].tag = noTag
-		c.misses++
-		c.stalees++
-		return false
-	}
-	for i := 1; i < len(set); i++ {
-		if set[i].tag != tag {
-			continue
-		}
-		if set[i].stamp != c.val.stamp(l) {
-			// Stale copy: invalidate and miss.
+	for i := range set {
+		switch set[i].tag {
+		case tag | staleBit: // present but stale: invalidate and miss
 			set[i].tag = noTag
 			c.misses++
 			c.stalees++
 			return false
+		case tag:
+			e := set[i]
+			copy(set[1:i+1], set[:i]) // move to MRU
+			set[0] = e
+			c.hits++
+			return true
 		}
-		e := set[i]
-		copy(set[1:i+1], set[:i]) // move to MRU
-		set[0] = e
-		c.hits++
-		return true
 	}
 	c.misses++
 	return false
 }
 
-// Insert fills line l stamped with version and the page's current epoch,
-// filling an invalid way if one exists and evicting the LRU way otherwise.
-// version must be the line's current version — the post-bump version for
-// writes and the unbumped one for read fills — so the recorded stamp is
-// Validity.stamp(l) at fill time.
-func (c *Cache) Insert(l mem.GLine, version uint32) {
-	set := c.set(l)
-	e := entry{tag: uint32(l), stamp: version + c.val.pageEpoch[l.Page()]}
-	// If already present (e.g. write-update after a hit) refresh in place.
+// Insert fills a valid copy of line l, filling an invalid way if one exists
+// and evicting the LRU way otherwise.
+func (c *Cache) Insert(l mem.GLine) {
+	set, tag := c.set(l), uint32(l)
+	// If already present, stale or not (e.g. write-update after a hit),
+	// refresh in place.
 	for i := range set {
-		if set[i].tag == e.tag {
+		if set[i].tag&^staleBit == tag {
 			copy(set[1:i+1], set[:i])
-			set[0] = e
+			set[0].tag = tag
 			return
 		}
 	}
@@ -152,26 +145,28 @@ func (c *Cache) Insert(l mem.GLine, version uint32) {
 		}
 	}
 	copy(set[1:victim+1], set[:victim])
-	set[0] = e
+	set[0].tag = tag
+}
+
+// invalidate marks a copy of line l stale, if the cache holds one.
+func (c *Cache) invalidate(l mem.GLine) {
+	set, tag := c.set(l), uint32(l)
+	for i := range set {
+		if set[i].tag == tag {
+			set[i].tag |= staleBit
+			return
+		}
+	}
 }
 
 // Contains reports presence of a currently-valid copy without touching LRU
-// state or statistics. It is used by tests and by the TLB-holder tracking
-// ablation.
+// state or statistics. Tests use it to look into a cache.
 func (c *Cache) Contains(l mem.GLine) bool {
 	set, tag := c.set(l), uint32(l)
 	for i := range set {
-		if set[i].tag == tag && set[i].stamp == c.val.stamp(l) {
+		if set[i].tag == tag {
 			return true
 		}
 	}
 	return false
-}
-
-// Flush empties the cache (used when a process model must simulate a cold
-// start after being moved across CPUs).
-func (c *Cache) Flush() {
-	for i := range c.ways {
-		c.ways[i].tag = noTag
-	}
 }

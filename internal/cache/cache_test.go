@@ -9,27 +9,21 @@ import (
 	"ccnuma/internal/sim"
 )
 
-func newTestCache(t *testing.T, size, assoc, pages int) (*Cache, *Validity) {
-	t.Helper()
-	v := NewValidity(pages, 1)
-	return New("test", size, assoc, v), v
-}
-
-// TestCacheEntryIsEightBytes pins a way at a uint32 tag and a uint32 stamp:
-// the ways are most of a cache's memory.
-func TestCacheEntryIsEightBytes(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got != 8 {
-		t.Fatalf("cache way is %d bytes, want 8", got)
+// TestCacheEntryIsFourBytes pins a way at one uint32 tag: the ways are most
+// of a cache's memory.
+func TestCacheEntryIsFourBytes(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 4 {
+		t.Fatalf("cache way is %d bytes, want 4", got)
 	}
 }
 
 func TestCacheMissThenHit(t *testing.T) {
-	c, v := newTestCache(t, 4096, 2, 16)
+	c := New("test", 4096, 2, NewValidity(16, 1))
 	l := mem.GPage(3).Line(5)
 	if c.Lookup(l) {
 		t.Fatal("hit in empty cache")
 	}
-	c.Insert(l, v.LineVersion(l))
+	c.Insert(l)
 	if !c.Lookup(l) {
 		t.Fatal("miss after insert")
 	}
@@ -47,12 +41,12 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatalf("sets = %d, want 1", sets)
 	}
 	a, b, d := mem.GLine(0), mem.GLine(1), mem.GLine(2)
-	c.Insert(a, 0)
-	c.Insert(b, 0)
+	c.Insert(a)
+	c.Insert(b)
 	if !c.Lookup(a) { // a becomes MRU; b is LRU
 		t.Fatal("a missing")
 	}
-	c.Insert(d, 0) // evicts b
+	c.Insert(d) // evicts b
 	if c.Contains(b) {
 		t.Fatal("LRU way b survived eviction")
 	}
@@ -65,14 +59,14 @@ func TestCacheLookupMovesHitToMRU(t *testing.T) {
 	v := NewValidity(1024, 1)
 	c := New("tiny", 3*mem.LineSize, 3, v) // one set, three ways
 	a, b, d, x := mem.GLine(0), mem.GLine(1), mem.GLine(2), mem.GLine(3)
-	c.Insert(a, 0)
-	c.Insert(b, 0)
-	c.Insert(d, 0) // order MRU→LRU: d, b, a
+	c.Insert(a)
+	c.Insert(b)
+	c.Insert(d) // order MRU→LRU: d, b, a
 	if !c.Lookup(a) {
 		t.Fatal("a missing")
 	}
 	// Now a, d, b: inserting x must evict b (the LRU), not a or d.
-	c.Insert(x, 0)
+	c.Insert(x)
 	if c.Contains(b) {
 		t.Fatal("LRU way b survived eviction after Lookup reordered the set")
 	}
@@ -85,10 +79,10 @@ func TestCacheInsertRefreshMovesToMRU(t *testing.T) {
 	v := NewValidity(1024, 1)
 	c := New("tiny", 2*mem.LineSize, 2, v) // one set, two ways
 	a, b, x := mem.GLine(0), mem.GLine(1), mem.GLine(2)
-	c.Insert(a, 0)
-	c.Insert(b, 0) // b MRU, a LRU
-	c.Insert(a, 0) // refresh in place: a back to MRU
-	c.Insert(x, 0) // must evict b
+	c.Insert(a)
+	c.Insert(b) // b MRU, a LRU
+	c.Insert(a) // refresh in place: a back to MRU
+	c.Insert(x) // must evict b
 	if c.Contains(b) {
 		t.Fatal("re-inserted way a stayed LRU; b should have been evicted")
 	}
@@ -101,15 +95,15 @@ func TestCacheInsertPrefersInvalidatedWay(t *testing.T) {
 	v := NewValidity(1024, 1)
 	c := New("tiny", 2*mem.LineSize, 2, v) // one set, two ways
 	a, b, x := mem.GLine(0), mem.GLine(1), mem.GLine(2)
-	c.Insert(a, v.LineVersion(a))
-	c.Insert(b, v.LineVersion(b)) // b MRU, a LRU... then b goes stale:
+	c.Insert(a)
+	c.Insert(b) // b MRU, a LRU... then b goes stale:
 	v.BumpLine(b)
 	if c.Lookup(b) {
 		t.Fatal("stale copy hit")
 	}
 	// b's way is now invalid. Inserting x must reuse it rather than evict
 	// the live (and LRU) line a.
-	c.Insert(x, v.LineVersion(x))
+	c.Insert(x)
 	if !c.Contains(a) {
 		t.Fatal("live LRU line evicted while an invalidated way was free")
 	}
@@ -131,7 +125,7 @@ func TestCacheOpsZeroAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() {
 		l := lines[i%len(lines)]
 		if !c.Lookup(l) {
-			c.Insert(l, v.LineVersion(l))
+			c.Insert(l)
 		}
 		i++
 	})
@@ -149,7 +143,7 @@ func BenchmarkCacheLookupInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l := mem.GPage(i % 8).Line(i % mem.LinesPerPage)
 		if !c.Lookup(l) {
-			c.Insert(l, v.LineVersion(l))
+			c.Insert(l)
 		}
 	}
 }
@@ -159,11 +153,11 @@ func TestCacheWriteInvalidatesOtherCopies(t *testing.T) {
 	c1 := New("cpu0", 4096, 2, v)
 	c2 := New("cpu1", 4096, 2, v)
 	l := mem.GPage(1).Line(0)
-	c1.Insert(l, v.LineVersion(l))
-	c2.Insert(l, v.LineVersion(l))
-	// CPU1 writes: bumps the version and refreshes its own copy.
-	nv := v.BumpLine(l)
-	c2.Insert(l, nv)
+	c1.Insert(l)
+	c2.Insert(l)
+	// CPU1 writes: invalidates every copy and refreshes its own.
+	v.BumpLine(l)
+	c2.Insert(l)
 	if c1.Lookup(l) {
 		t.Fatal("stale copy hit after remote write")
 	}
@@ -176,33 +170,25 @@ func TestCacheWriteInvalidatesOtherCopies(t *testing.T) {
 	}
 }
 
+// TestCachePageEpochInvalidatesWholePage: a page move (a new placement epoch
+// of the page) invalidates every cached line of the page and nothing else.
 func TestCachePageEpochInvalidatesWholePage(t *testing.T) {
 	v := NewValidity(16, 1)
 	c := New("cpu0", 64*1024, 2, v)
 	p := mem.GPage(2)
 	for i := 0; i < mem.LinesPerPage; i++ {
-		c.Insert(p.Line(i), 0)
+		c.Insert(p.Line(i))
 	}
 	other := mem.GPage(3).Line(0)
-	c.Insert(other, 0)
+	c.Insert(other)
 	v.BumpPage(p) // migration
 	for i := 0; i < mem.LinesPerPage; i++ {
 		if c.Lookup(p.Line(i)) {
-			t.Fatalf("line %d survived page epoch bump", i)
+			t.Fatalf("line %d survived the page's bump", i)
 		}
 	}
 	if !c.Lookup(other) {
 		t.Fatal("unrelated page was invalidated")
-	}
-}
-
-func TestCacheFlush(t *testing.T) {
-	c, _ := newTestCache(t, 4096, 2, 16)
-	l := mem.GPage(0).Line(0)
-	c.Insert(l, 0)
-	c.Flush()
-	if c.Contains(l) {
-		t.Fatal("line survived flush")
 	}
 }
 
@@ -278,8 +264,8 @@ func TestHierarchyWriteHitKeepsOwnCopyValid(t *testing.T) {
 	}
 }
 
-// Property: an entry's recorded version never exceeds the global version,
-// and Lookup only hits when stamps are current.
+// Property: Lookup only hits a valid copy, and no copy survives a bump of
+// its line or its page until it is refilled.
 func TestCacheValidityProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := sim.NewRand(seed)
@@ -289,15 +275,23 @@ func TestCacheValidityProperty(t *testing.T) {
 			l := mem.GPage(r.Intn(8)).Line(r.Intn(mem.LinesPerPage))
 			switch r.Intn(4) {
 			case 0:
-				c.Insert(l, v.LineVersion(l))
+				c.Insert(l)
 			case 1:
-				nv := v.BumpLine(l)
-				c.Insert(l, nv)
+				v.BumpLine(l)
+				if c.Contains(l) {
+					return false
+				}
+				c.Insert(l)
 			case 2:
 				v.BumpPage(l.Page())
+				for j := 0; j < mem.LinesPerPage; j++ {
+					if c.Contains(l.Page().Line(j)) {
+						return false
+					}
+				}
 			case 3:
 				if c.Lookup(l) {
-					// A hit must imply currently-valid stamps.
+					// A hit must imply a valid copy.
 					if !c.Contains(l) {
 						return false
 					}
@@ -339,9 +333,8 @@ func TestHitMRUMatchesLookup(t *testing.T) {
 				t.Fatalf("op %d: probe answered %v, Lookup %v", i, hit, want)
 			}
 		case op < 16:
-			ver := v.LineVersion(l)
-			probe.Insert(l, ver)
-			full.Insert(l, ver)
+			probe.Insert(l)
+			full.Insert(l)
 		case op < 19:
 			v.BumpLine(l)
 		default:

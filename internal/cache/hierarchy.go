@@ -48,8 +48,8 @@ func name(cpu int, level string) string {
 }
 
 // Access runs one reference through the hierarchy, updating cache state
-// (fills, LRU, and the line version for writes) and returning the level that
-// satisfied it. Timing is the caller's concern.
+// (fills, LRU, and for writes the invalidation of every other copy) and
+// returning the level that satisfied it. Timing is the caller's concern.
 func (h *Hierarchy) Access(l mem.GLine, kind mem.AccessKind) Level {
 	l1 := h.L1D
 	if kind.IsInstr() {
@@ -57,34 +57,25 @@ func (h *Hierarchy) Access(l mem.GLine, kind mem.AccessKind) Level {
 	}
 	if l1.Lookup(l) {
 		if kind.IsWrite() {
-			v := h.val.BumpLine(l)
-			l1.Insert(l, v)
-			h.L2.Insert(l, v) // write-through between L1 and L2
+			h.val.BumpLine(l)
+			l1.Insert(l)
+			h.L2.Insert(l) // write-through between L1 and L2
 		}
 		return HitL1
 	}
 	if h.L2.Lookup(l) {
-		v := h.val.LineVersion(l)
 		if kind.IsWrite() {
-			v = h.val.BumpLine(l)
-			h.L2.Insert(l, v)
+			h.val.BumpLine(l)
+			h.L2.Insert(l)
 		}
-		l1.Insert(l, v)
+		l1.Insert(l)
 		return HitL2
 	}
 	// Full miss: fill both levels.
-	v := h.val.LineVersion(l)
 	if kind.IsWrite() {
-		v = h.val.BumpLine(l)
+		h.val.BumpLine(l)
 	}
-	h.L2.Insert(l, v)
-	l1.Insert(l, v)
+	h.L2.Insert(l)
+	l1.Insert(l)
 	return Miss
-}
-
-// Flush empties all three caches.
-func (h *Hierarchy) Flush() {
-	h.L1I.Flush()
-	h.L1D.Flush()
-	h.L2.Flush()
 }

@@ -3,17 +3,16 @@
 // 128-byte lines, as configured for the FLASH machine in the paper.
 //
 // Caches are indexed by global logical line (mem.GLine) rather than physical
-// address. Correctness under sharing and page movement is preserved by two
-// validity stamps carried in every cache entry:
+// address. Correctness under sharing and page movement is kept the way
+// FLASH's directory keeps it, by invalidating cached copies eagerly:
 //
-//   - a line version, bumped whenever any processor writes the line, which
-//     invalidates all other cached copies (directory-based invalidation
-//     coherence at line grain);
-//   - a page epoch, bumped whenever the kernel migrates or collapses the
-//     page, which invalidates every cached line of the page (the physical
-//     copy moved, so physically-tagged caches would refetch).
+//   - a write to a line marks every other cached copy of the line stale
+//     (directory-based invalidation coherence at line grain);
+//   - a migration or collapse of a page marks every cached line of the page
+//     stale machine-wide (the physical copy moved, so physically-tagged
+//     caches would refetch).
 //
-// Replication does not bump the epoch: processors still mapped to the master
+// Replication invalidates nothing: processors still mapped to the master
 // keep hitting their cached lines, exactly as on real hardware where the
 // master's physical address is unchanged.
 package cache
@@ -24,65 +23,47 @@ import (
 	"ccnuma/internal/mem"
 )
 
-// Validity holds the stamps cache entries are checked against: one line
-// version per line and one epoch per page, in flat machine-wide tables
-// indexed by global line and page. One Validity instance is shared by every
-// cache in the machine.
-//
-// Releasing a page does not reset its stamps: cached entries carrying the
-// old stamp sums may outlive the residence, and resetting the stamps would
-// let such a stale entry re-validate against a fresh zero epoch.
+// Validity is the machine's invalidation fabric: the list of every cache
+// built on it, which BumpLine and BumpPage mark stale copies in. One Validity
+// instance is shared by every cache in the machine. It holds nothing per
+// line or per page.
 type Validity struct {
-	lineVersion []uint32 // mem.LinesPerPage entries per page
-	pageEpoch   []uint32
+	caches []*Cache
 }
 
-// maxLines bounds the line table: a cache way holds its line as a uint32
-// tag, and ^uint32(0) marks an empty way.
-const maxLines = 1<<32 - 1
+// maxLines bounds the lines a machine may have: a cache way holds its line
+// as a uint32 tag, staleBit marks a stale copy, and ^uint32(0) marks an
+// empty way, so every line must stay below 2^31-1.
+const maxLines = 1<<31 - 1
 
-// NewValidity sizes the stamp tables for pages logical pages. The node
-// count does not shape the tables; it is accepted so callers describe the
-// machine the same way everywhere. It panics, before allocating, when the
-// tables would index maxLines lines or more.
+// NewValidity builds the fabric for a machine of pages logical pages. The
+// node count plays no part; it is accepted so callers describe the machine
+// the same way everywhere. It panics when the machine would hold maxLines
+// lines or more.
 func NewValidity(pages, nodes int) *Validity {
 	if uint64(pages) > maxLines/mem.LinesPerPage { // a negative count wraps high
 		panic(fmt.Sprintf("cache: %d pages hold %d lines or more", pages, uint64(maxLines)))
 	}
-	return &Validity{
-		lineVersion: make([]uint32, pages*mem.LinesPerPage),
-		pageEpoch:   make([]uint32, pages),
+	return &Validity{}
+}
+
+// Assign records that page p's master copy now lives on node. Validity is
+// never disturbed by where a page lives, so there is nothing to do. Kept
+// for callers that place pages explicitly before replaying references.
+func (v *Validity) Assign(p mem.GPage, node mem.NodeID) {}
+
+// BumpLine registers a write to the line: every cached copy of it becomes
+// stale. The writer refreshes its own copies with Insert afterwards.
+func (v *Validity) BumpLine(l mem.GLine) {
+	for _, c := range v.caches {
+		c.invalidate(l)
 	}
 }
 
-// Assign records that page p's master copy now lives on node. The flat
-// tables are machine-wide, so there is nothing to move: stamps are never
-// disturbed by where a page lives. Kept for callers that place pages
-// explicitly before replaying references.
-func (v *Validity) Assign(p mem.GPage, node mem.NodeID) {}
-
-// LineVersion returns the current version of a line.
-func (v *Validity) LineVersion(l mem.GLine) uint32 { return v.lineVersion[l] }
-
-// BumpLine registers a write to the line and returns the new version. Every
-// cached copy with an older version becomes stale.
-func (v *Validity) BumpLine(l mem.GLine) uint32 {
-	v.lineVersion[l]++
-	return v.lineVersion[l]
-}
-
-// stamp is the validity stamp a current copy of line l carries: its version
-// plus its page's epoch. Both counters only grow and a release never resets
-// them, so the sum equals a fill-time stamp exactly when neither has moved
-// since; it wraps only after 2^32 bumps of one line and its page, the limit
-// the separate 32-bit counters already had.
-func (v *Validity) stamp(l mem.GLine) uint32 {
-	return v.lineVersion[l] + v.pageEpoch[l.Page()]
-}
-
-// PageEpoch returns the current placement epoch of a page.
-func (v *Validity) PageEpoch(p mem.GPage) uint32 { return v.pageEpoch[p] }
-
 // BumpPage registers a migration, collapse, or release of the page,
 // invalidating all cached lines of the page machine-wide.
-func (v *Validity) BumpPage(p mem.GPage) { v.pageEpoch[p]++ }
+func (v *Validity) BumpPage(p mem.GPage) {
+	for i := 0; i < mem.LinesPerPage; i++ {
+		v.BumpLine(p.Line(i))
+	}
+}

@@ -309,7 +309,7 @@ func (v *VM) Migrate(p mem.GPage, newF mem.PFN) error {
 	if pi.MigCount < ^uint8(0) {
 		pi.MigCount++
 	}
-	// The master moved nodes: the epoch bump invalidates every cached line
+	// The master moved nodes: the page bump invalidates every cached line
 	// of the page.
 	v.val.BumpPage(p)
 	v.migrates++

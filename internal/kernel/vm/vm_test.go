@@ -22,6 +22,27 @@ func newVM(place Placer) (*VM, *alloc.Allocator, *cache.Validity) {
 	return v, a, val
 }
 
+// cachedPage builds a cache on val holding every line of page p, so a test
+// can see which page operations invalidate the page's cached lines.
+func cachedPage(val *cache.Validity, p mem.GPage) *cache.Cache {
+	c := cache.New("probe", 64*1024, 2, val)
+	for i := 0; i < mem.LinesPerPage; i++ {
+		c.Insert(p.Line(i))
+	}
+	return c
+}
+
+// cachedLines counts the lines of page p that c holds a valid copy of.
+func cachedLines(c *cache.Cache, p mem.GPage) int {
+	n := 0
+	for i := 0; i < mem.LinesPerPage; i++ {
+		if c.Contains(p.Line(i)) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestFirstTouchPlacement(t *testing.T) {
 	v, a, _ := newVM(FirstTouch)
 	p := v.AddProcess()
@@ -74,7 +95,7 @@ func TestMigrateRewritesAllPTEs(t *testing.T) {
 	v.Touch(p1, 3, 0)
 	v.Touch(p2, 3, 0)
 	old := v.Page(3).Master
-	epoch := val.PageEpoch(3)
+	c := cachedPage(val, 3)
 	nf := a.AllocOn(2, alloc.Base)
 	if err := v.Migrate(3, nf); err != nil {
 		t.Fatal(err)
@@ -85,8 +106,8 @@ func TestMigrateRewritesAllPTEs(t *testing.T) {
 	if a.Allocated(old) {
 		t.Fatal("old master frame not freed")
 	}
-	if val.PageEpoch(3) != epoch+1 {
-		t.Fatal("migration did not bump the page epoch")
+	if n := cachedLines(c, 3); n != 0 {
+		t.Fatalf("%d cached lines of the page survived its migration", n)
 	}
 	if v.Page(3).MigCount != 1 {
 		t.Fatalf("MigCount = %d, want 1", v.Page(3).MigCount)
@@ -107,7 +128,7 @@ func TestReplicateMarksReadOnlyAndPointsNearest(t *testing.T) {
 	}
 	v.Touch(p1, 3, 0) // master on node 0
 	v.Touch(p2, 3, 2) // maps master remotely
-	epoch := val.PageEpoch(3)
+	c := cachedPage(val, 3)
 	nf := a.AllocOn(2, alloc.Replica)
 	if err := v.Replicate(3, nf); err != nil {
 		t.Fatal(err)
@@ -121,8 +142,8 @@ func TestReplicateMarksReadOnlyAndPointsNearest(t *testing.T) {
 	if v.PTE(p1, 3).PFN != v.Page(3).Master {
 		t.Fatal("p1's pte should stay on the master")
 	}
-	if val.PageEpoch(3) != epoch {
-		t.Fatal("replication must not bump the epoch (master copy unchanged)")
+	if n := cachedLines(c, 3); n != mem.LinesPerPage {
+		t.Fatalf("replication invalidated %d cached lines (master copy unchanged)", mem.LinesPerPage-n)
 	}
 	if err := v.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -166,7 +187,7 @@ func TestCollapseKeepsNearestAndRestoresWrite(t *testing.T) {
 	v.Touch(p2, 3, 0)
 	rep := a.AllocOn(2, alloc.Replica)
 	v.Replicate(3, rep)
-	epoch := val.PageEpoch(3)
+	c := cachedPage(val, 3)
 	freed := v.Collapse(3, 2) // writer on node 2: keep the node-2 replica
 	if freed != 1 {
 		t.Fatalf("freed = %d, want 1", freed)
@@ -183,8 +204,8 @@ func TestCollapseKeepsNearestAndRestoresWrite(t *testing.T) {
 	if v.PTE(p1, 3).PFN != rep || v.PTE(p2, 3).PFN != rep {
 		t.Fatal("ptes not pointed at the kept copy")
 	}
-	if val.PageEpoch(3) != epoch+1 {
-		t.Fatal("collapse did not bump the page epoch")
+	if n := cachedLines(c, 3); n != 0 {
+		t.Fatalf("%d cached lines of the page survived its collapse", n)
 	}
 	if err := v.CheckInvariants(); err != nil {
 		t.Fatal(err)

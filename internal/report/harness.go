@@ -77,12 +77,14 @@ type Harness struct {
 
 // runEntry is a memo slot: the first caller owns the simulation, later
 // callers block on done and read res. fail is the failure's panic text,
-// empty after a success; a failed run keeps its slot, so it is simulated
-// once however often it is asked for.
+// empty after a success, and timedOut whether the failure was a timeout; a
+// failed run keeps its slot, so it is simulated once however often it is
+// asked for.
 type runEntry struct {
-	done chan struct{}
-	res  *core.Result
-	fail string
+	done     chan struct{}
+	res      *core.Result
+	fail     string
+	timedOut bool
 }
 
 // NewHarness builds a harness at the given scale.
@@ -197,7 +199,11 @@ func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *
 		<-e.done
 		h.memoHits.Add(1)
 		r := Record{ID: id, Workload: wl, State: StateMemoHit, WallStart: enter, WallEnd: h.since()}
-		r.measure(e.res)
+		if e.fail == "" {
+			r.measure(e.res)
+		} else {
+			r.TimedOut = e.timedOut // the placeholder result describes no run
+		}
 		h.record(r, true)
 		if e.fail != "" && !h.KeepGoing {
 			panic(e.fail)
@@ -218,6 +224,7 @@ func (h *Harness) RunContext(ctx context.Context, wl string, opt core.Options) *
 		e.res = &core.Result{Workload: wl, Policy: "failed", Failed: true}
 		e.fail = fmt.Sprintf("report: run %s id=%s failed: %v (options: %s)",
 			wl, id, err, rec.Fingerprint)
+		e.timedOut = rec.TimedOut
 		if ctx.Err() != nil {
 			h.mu.Lock()
 			delete(h.runs, key)

@@ -34,7 +34,7 @@ type Record struct {
 	Workload string `json:"workload"`
 	State    string `json:"state"`
 	// Policy and the simulated counts describe the result the simulation (or
-	// the memo) answered with; zero for a failed run.
+	// the memo) answered with; zero for a failed run and a memo hit on one.
 	Policy     string   `json:"policy,omitempty"`
 	Elapsed    sim.Time `json:"elapsed_ns"`
 	NonIdle    sim.Time `json:"nonidle_ns"`

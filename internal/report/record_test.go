@@ -63,6 +63,9 @@ func TestHarnessSpansLifecycle(t *testing.T) {
 		if rs[0].State == StateDone && (rs[1].Elapsed != rs[0].Elapsed || rs[1].Policy != rs[0].Policy) {
 			t.Fatalf("memo hit does not describe the memoized result: %+v vs %+v", rs[1], rs[0])
 		}
+		if rs[0].State == StateFailed && (rs[1].Policy != "" || rs[1].TimedOut != rs[0].TimedOut) {
+			t.Fatalf("memo hit on a failure does not describe the failure: %+v vs %+v", rs[1], rs[0])
+		}
 	}
 	if f := FailedRuns(recs); len(f) != 1 || f[0].State != StateFailed {
 		t.Fatalf("failed runs = %+v, want the one failed simulation", f)
