@@ -64,32 +64,41 @@ golden-1cpu:
 # it to the eager pre-filled allocator it replaced, call for call. The caches
 # invalidate stale copies eagerly, at the write or page move; the two
 # reference-model tests hold one cache and several CPUs' hierarchies on one
-# Validity to the lazy two-stamp model that design replaced.
+# Validity to the lazy two-stamp model that design replaced. The CPU step
+# loop reads each process's steps from a feed made ahead by Gen.Fill, with
+# the one CPU-dependent pick resolved on the CPU that runs it;
+# TestFillMatchesNext holds that stream to Gen.Next on the same CPUs.
 CACHE_REF_TESTS = TestCacheMatchesReferenceModel|TestHierarchiesMatchReferenceModel
-PROBE_TESTS = TestHitMRUMatchesLookup|TestWiredPagesNeverInTLB|TestAllocatorMatchesEager|$(CACHE_REF_TESTS)
+PROBE_TESTS = TestHitMRUMatchesLookup|TestWiredPagesNeverInTLB|TestAllocatorMatchesEager|$(CACHE_REF_TESTS)|TestFillMatchesNext
 
 probe-check:
 	$(call named,./internal/tlb,TestHitMRUMatchesLookup)
 	$(call named,./internal/cache,TestHitMRUMatchesLookup|$(CACHE_REF_TESTS))
 	$(call named,./internal/core,TestWiredPagesNeverInTLB)
 	$(call named,./internal/kernel/alloc,TestAllocatorMatchesEager)
+	$(call named,./internal/workload,TestFillMatchesNext)
 	$(GO) test -count=1 -run '^($(PROBE_TESTS))$$' ./internal/tlb ./internal/cache ./internal/core \
-		./internal/kernel/alloc
+		./internal/kernel/alloc ./internal/workload
 
 # The experiment harness is concurrent (report.Harness singleflight memo,
 # per-experiment worker pools); keep the race detector in the loop. The
 # second run re-executes the contention hammers by name with -count=1 so a
 # cached pass can never mask a freshly introduced race in the memo or the
-# panic-isolation path.
+# panic-isolation path. Each run's step-feed helper fills generators beside
+# the event loop; the core tests re-run its lifecycle (completed, cancelled
+# and panicking runs) and a respawning workload by name.
 RACE_REPORT = TestSingleflightUnderConcurrency|TestHarnessPanicIsolation|TestHarnessFailureHammer|TestHarnessFailureStaysMemoized|TestHarnessDeterministicFailureRunsOnce|TestHarnessCancelledFailureEvicted
 RACE_OBS = TestRecorderConcurrentRecordAndDump
+RACE_CORE = TestStepFeedHelperExitsAfterRun|TestStepFeedHelperExitsAfterCancel|TestStepFeedHelperExitsAfterPanic|TestStepFeedRespawnsMatchConsumerOnly
 
 race:
 	$(call named,./internal/report,$(RACE_REPORT))
 	$(call named,./internal/obs,$(RACE_OBS))
+	$(call named,./internal/core,$(RACE_CORE))
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run '$(RACE_REPORT)' ./internal/report
 	$(GO) test -race -count=1 -run '$(RACE_OBS)' ./internal/obs
+	$(GO) test -race -count=1 -run '$(RACE_CORE)' ./internal/core
 
 # The chaos suite: a full-fault run (drain + drops + transient allocation
 # failures + slow link) must complete deterministically with invariants

@@ -99,9 +99,12 @@ func (c *Cache) HitMRU(l mem.GLine) bool {
 func (c *Cache) Lookup(l mem.GLine) bool {
 	// Way 0 is MRU and takes the overwhelming majority of hits; resolving it
 	// first skips the move-to-front shuffle (a no-op at i=0) entirely.
-	if c.HitMRU(l) {
-		return true
-	}
+	return c.HitMRU(l) || c.lookupPastMRU(l)
+}
+
+// lookupPastMRU is Lookup after a HitMRU miss. Way 0 cannot hold a valid
+// copy, but the scan still visits it to drop a stale one.
+func (c *Cache) lookupPastMRU(l mem.GLine) bool {
 	set, tag := c.set(l), uint32(l)
 	for i := range set {
 		switch set[i].tag {

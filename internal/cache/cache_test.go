@@ -307,8 +307,9 @@ func TestCacheValidityProperty(t *testing.T) {
 
 // TestHitMRUMatchesLookup drives twin caches over one Validity with a random
 // stream of lookups, fills, and line and page bumps. The probe twin answers
-// each lookup with HitMRU and falls back to Lookup on a miss, as the fast
-// read path does; the other always uses Lookup. Answers, statistics and
+// each lookup with HitMRU and falls back to lookupPastMRU on a miss, as the
+// fast read path does (Hierarchy.ReadMissedMRU); the other always uses
+// Lookup. Answers, statistics and
 // every way must agree after each operation, and a probe miss must change
 // nothing.
 func TestHitMRUMatchesLookup(t *testing.T) {
@@ -327,7 +328,7 @@ func TestHitMRUMatchesLookup(t *testing.T) {
 				if h, m, s := probe.Stats(); h != bh || m != bm || s != bs || !sameWays(probe.ways, before) {
 					t.Fatalf("op %d: a HitMRU miss changed the cache", i)
 				}
-				hit = probe.Lookup(l)
+				hit = probe.lookupPastMRU(l)
 			}
 			if want := full.Lookup(l); hit != want {
 				t.Fatalf("op %d: probe answered %v, Lookup %v", i, hit, want)
@@ -361,4 +362,17 @@ func sameWays(a, b []entry) bool {
 		}
 	}
 	return len(a) == len(b)
+}
+
+// TestHierarchyNamesDistinctPastTenCPUs: the caches of CPU 10 are not named
+// like those of CPU 0.
+func TestHierarchyNamesDistinctPastTenCPUs(t *testing.T) {
+	v := NewValidity(1, 1)
+	a := NewHierarchy(0, 8*mem.LineSize, 2, 16*mem.LineSize, 4, v)
+	b := NewHierarchy(10, 8*mem.LineSize, 2, 16*mem.LineSize, 4, v)
+	for _, pair := range [][2]*Cache{{a.L1I, b.L1I}, {a.L1D, b.L1D}, {a.L2, b.L2}} {
+		if pair[0].name == pair[1].name {
+			t.Errorf("CPUs 0 and 10 both have a cache named %q", pair[0].name)
+		}
+	}
 }

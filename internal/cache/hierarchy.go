@@ -1,6 +1,10 @@
 package cache
 
-import "ccnuma/internal/mem"
+import (
+	"strconv"
+
+	"ccnuma/internal/mem"
+)
 
 // Level is where a reference was satisfied.
 type Level int
@@ -44,17 +48,14 @@ func NewHierarchy(cpu int, l1Size, l1Assoc, l2Size, l2Assoc int, val *Validity) 
 }
 
 func name(cpu int, level string) string {
-	return level + "#" + string(rune('0'+cpu%10))
+	return level + "#" + strconv.Itoa(cpu)
 }
 
 // Access runs one reference through the hierarchy, updating cache state
 // (fills, LRU, and for writes the invalidation of every other copy) and
 // returning the level that satisfied it. Timing is the caller's concern.
 func (h *Hierarchy) Access(l mem.GLine, kind mem.AccessKind) Level {
-	l1 := h.L1D
-	if kind.IsInstr() {
-		l1 = h.L1I
-	}
+	l1 := h.l1(kind)
 	if l1.Lookup(l) {
 		if kind.IsWrite() {
 			h.val.BumpLine(l)
@@ -63,6 +64,29 @@ func (h *Hierarchy) Access(l mem.GLine, kind mem.AccessKind) Level {
 		}
 		return HitL1
 	}
+	return h.pastL1(l1, l, kind)
+}
+
+// ReadMissedMRU is Access for a read whose L1 way-0 probe (Cache.HitMRU)
+// has just missed. It resumes the L1 lookup past that probe, which is exact
+// because a failed probe changes nothing.
+func (h *Hierarchy) ReadMissedMRU(l mem.GLine, kind mem.AccessKind) Level {
+	l1 := h.l1(kind)
+	if l1.lookupPastMRU(l) {
+		return HitL1
+	}
+	return h.pastL1(l1, l, kind)
+}
+
+func (h *Hierarchy) l1(kind mem.AccessKind) *Cache {
+	if kind.IsInstr() {
+		return h.L1I
+	}
+	return h.L1D
+}
+
+// pastL1 is Access after an L1 miss.
+func (h *Hierarchy) pastL1(l1 *Cache, l mem.GLine, kind mem.AccessKind) Level {
 	if h.L2.Lookup(l) {
 		if kind.IsWrite() {
 			h.val.BumpLine(l)

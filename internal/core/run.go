@@ -76,6 +76,7 @@ func (s *System) step(c *cpuState, now sim.Time) {
 		c.quantum = t + quantum
 	}
 	p := c.cur
+	f := p.feed
 	if p.spec.ExitAt > 0 && t >= p.spec.ExitAt {
 		s.exitProc(p)
 		c.cur = nil
@@ -90,18 +91,26 @@ func (s *System) step(c *cpuState, now sim.Time) {
 			c.cur = nil
 			break
 		}
-		st := p.gen.Next(c.id)
-		switch st.Kind {
+		var r workload.Ref
+		if i := f.pos; uint(i) < uint(len(f.refs)) {
+			r, f.pos = f.refs[i], i+1
+		} else {
+			r = f.advance(s.helper)
+		}
+		switch r.Kind() {
 		case workload.StepExit:
 			s.exitProc(p)
 			c.cur = nil
 		case workload.StepBlock:
 			s.schedul.Block(p.sp)
 			c.cur = nil
-			s.eng.AtKind(t+p.gen.LastBlock(), s.wakeKind, uint64(p.vmID)<<32|uint64(p.slotGen))
+			s.eng.AtKind(t+f.block(), s.wakeKind, uint64(p.vmID)<<32|uint64(p.slotGen))
 		case workload.StepAccess:
+			if r.Deferred() {
+				r = f.res.Resolve(f.gen, r, c.id)
+			}
 			var missed bool
-			t, missed = s.access(c, p, st, t)
+			t, missed = s.access(c, p, r, t)
 			if missed {
 				// Yield the event loop after every memory miss so resource
 				// contention across CPUs interleaves in time order.
@@ -126,9 +135,9 @@ func (s *System) step(c *cpuState, now sim.Time) {
 // wired pages never enter a TLB (the only Insert calls are in the non-wired
 // branch below), a read ignores the protection bit, and a transit lock
 // charges a read only when it needed a fresh translation.
-func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time) (sim.Time, bool) {
+func (s *System) access(c *cpuState, p *procState, r workload.Ref, t sim.Time) (sim.Time, bool) {
 	mode := stats.User
-	if p.gen.Kernel() {
+	if r.Kernel() {
 		mode = stats.Kernel
 	}
 	c.steps++
@@ -136,18 +145,18 @@ func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time)
 	c.bd.Compute[mode] += comp
 	t += comp
 
-	page := st.Page
-	line := page.Line(int(st.Line) % mem.LinesPerPage)
-	if !st.Access.IsWrite() {
+	page, acc := r.Page(), r.Access()
+	line := page.Line(int(r.Line()) % mem.LinesPerPage)
+	if !acc.IsWrite() {
 		if pfn, ok := c.tlb.HitMRU(p.vmID, page); ok {
 			l1 := c.caches.L1D
-			if st.Access.IsInstr() {
+			if acc.IsInstr() {
 				l1 = c.caches.L1I
 			}
 			if l1.HitMRU(line) {
 				return t, false // first-level hits are folded into the compute charge
 			}
-			return s.reference(c, st, mode, false, pfn, line, t)
+			return s.reference(c, r, mode, false, pfn, c.caches.ReadMissedMRU(line, acc), t)
 		}
 	}
 
@@ -164,11 +173,11 @@ func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time)
 			t += s.cfg.TLBRefill
 			if s.tracer != nil {
 				s.tracer.Append(trace.Record{At: t, Page: page, CPU: c.id,
-					Kind: st.Access, Kernel: mode == stats.Kernel, Src: trace.TLBMiss})
+					Kind: acc, Kernel: mode == stats.Kernel, Src: trace.TLBMiss})
 			}
 			pte, kind := s.vmm.Touch(p.vmID, page, c.node)
 			if !s.opt.Metric.CacheDriven() {
-				s.counters.Record(page, c.id, st.Access.IsWrite(),
+				s.counters.Record(page, c.id, acc.IsWrite(),
 					s.cfg.NodeOfFrame(pte.PFN) != c.node)
 			}
 			if kind != vm.NoFault {
@@ -188,7 +197,7 @@ func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time)
 			// translation pays an extra fault (Table 6's Page Fault
 			// category: "additional page faults, due to changes in
 			// mappings").
-			if st.Access.IsWrite() {
+			if acc.IsWrite() {
 				c.bd.Pager.Add(stats.FnPageFault, pi.TransitUntil-t)
 				t = pi.TransitUntil
 			} else if !ok {
@@ -196,7 +205,7 @@ func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time)
 				t += s.cfg.Kernel.PageFault
 			}
 		}
-		if st.Access.IsWrite() && ro {
+		if acc.IsWrite() && ro {
 			// Protection trap: collapse the replicas, then retry.
 			if s.pg != nil {
 				t += s.pg.CollapseWrite(t, c.id, page, &c.bd)
@@ -206,20 +215,21 @@ func (s *System) access(c *cpuState, p *procState, st workload.Step, t sim.Time)
 			c.tlb.Insert(p.vmID, page, pfn, pte.RO)
 		}
 	}
-	return s.reference(c, st, mode, wired, pfn, line, t)
+	return s.reference(c, r, mode, wired, pfn, c.caches.Access(line, acc), t)
 }
 
 // reference is access's cache and memory half, once the reference is
-// translated to frame pfn: it runs line through the cache hierarchy and, on
-// a full miss, the memory system, charging stalls and feeding the
+// translated to frame pfn and run through the cache hierarchy to level lvl:
+// on a full miss it runs the memory system, charging stalls and feeding the
 // cache-driven counters and the trace. It reports whether the hierarchy
 // missed.
-func (s *System) reference(c *cpuState, st workload.Step, mode stats.Mode, wired bool, pfn mem.PFN, line mem.GLine, t sim.Time) (sim.Time, bool) {
+func (s *System) reference(c *cpuState, r workload.Ref, mode stats.Mode, wired bool, pfn mem.PFN, lvl cache.Level, t sim.Time) (sim.Time, bool) {
+	acc := r.Access()
 	side := stats.Data
-	if st.Access.IsInstr() {
+	if acc.IsInstr() {
 		side = stats.Instr
 	}
-	switch c.caches.Access(line, st.Access) {
+	switch lvl {
 	case cache.HitL1:
 		// First-level hits are folded into the compute charge.
 	case cache.HitL2:
@@ -227,7 +237,7 @@ func (s *System) reference(c *cpuState, st workload.Step, mode stats.Mode, wired
 		t += s.cfg.L2Hit
 	case cache.Miss:
 		home := s.cfg.NodeOfFrame(pfn)
-		lat, remote := s.mems.Access(t, c.id, home, st.Access)
+		lat, remote := s.mems.Access(t, c.id, home, acc)
 		lvl := stats.LocalMem
 		if remote {
 			lvl = stats.RemoteMem
@@ -235,11 +245,11 @@ func (s *System) reference(c *cpuState, st workload.Step, mode stats.Mode, wired
 		c.bd.AddStall(mode, side, lvl, lat)
 		t += lat
 		if s.tracer != nil {
-			s.tracer.Append(trace.Record{At: t, Page: st.Page, CPU: c.id,
-				Kind: st.Access, Kernel: mode == stats.Kernel, Src: trace.CacheMiss})
+			s.tracer.Append(trace.Record{At: t, Page: r.Page(), CPU: c.id,
+				Kind: acc, Kernel: mode == stats.Kernel, Src: trace.CacheMiss})
 		}
 		if !wired && s.opt.Metric.CacheDriven() {
-			s.counters.Record(st.Page, c.id, st.Access.IsWrite(), remote)
+			s.counters.Record(r.Page(), c.id, acc.IsWrite(), remote)
 		}
 		return t, true
 	}
@@ -273,6 +283,10 @@ func (s *System) codeFirstTouchReplica(p *procState, page mem.GPage, pte vm.PTE)
 // events, the sampler, and each CPU's initial step event. Split from Run so
 // tests and benchmarks can drive the engine step by step.
 func (s *System) start() {
+	s.feeds = make([]*feed, len(s.spec.Procs))
+	for i := range s.feeds {
+		s.feeds[i] = &feed{gen: s.spec.Procs[i].Gen}
+	}
 	for i := range s.spec.Procs {
 		ps := &s.spec.Procs[i]
 		if ps.StartAt <= 0 {
@@ -322,6 +336,8 @@ func (s *System) start() {
 // measurements.
 func (s *System) Run() (*Result, error) {
 	s.start()
+	s.helper = startHelper(s.feeds)
+	defer s.stopFeeds()
 	s.eng.RunUntil(s.deadline)
 	if s.tracer != nil {
 		s.tracer.Sort()
@@ -369,6 +385,18 @@ func (s *System) Run() (*Result, error) {
 		res.Agg.Merge(&c.bd)
 	}
 	return res, nil
+}
+
+// stopFeeds ends the run's helper and drops the feeds, so a finished
+// machine holds no step buffers.
+func (s *System) stopFeeds() {
+	s.helper.stop()
+	s.helper, s.feeds = nil, nil
+	for _, p := range s.procs {
+		if p != nil {
+			p.feed = nil
+		}
+	}
 }
 
 func (s *System) policyName() string {

@@ -42,7 +42,7 @@ type procState struct {
 	// identity used wherever per-spec state is kept (pointer-keyed maps are
 	// banned: ranging one is latent nondeterminism).
 	specIdx int
-	gen     *workload.Gen
+	feed    *feed
 	alive   bool
 	// slotGen distinguishes successive occupants of a reused vm ProcID slot,
 	// so a typed wake event scheduled for an exited process cannot wake its
@@ -91,7 +91,11 @@ type System struct {
 	schedul  sched.Scheduler
 	cpus     []*cpuState
 	procs    []*procState // indexed by vm ProcID (slots reused)
-	slotGens []uint32     // per vm-slot generation counters (wake identity)
+	// feeds holds each process spec's step feed (by spec index), and
+	// helper the goroutine filling them while Run runs.
+	feeds    []*feed
+	helper   *helper
+	slotGens []uint32 // per vm-slot generation counters (wake identity)
 	tracer   *trace.Trace
 	deadline sim.Time // hard cap; runs normally end at workload completion
 	seedGen  *sim.Rand
@@ -398,7 +402,7 @@ func (s *System) addProc(ps *workload.ProcSpec, specIdx int) *procState {
 		vmID:    id,
 		spec:    ps,
 		specIdx: specIdx,
-		gen:     ps.Gen,
+		feed:    s.feeds[specIdx],
 		alive:   true,
 		sp: &sched.Proc{
 			ID:  id,
@@ -442,7 +446,7 @@ func (s *System) exitProc(p *procState) {
 	if p.spec.Respawn {
 		if left := s.respawnsLeft[p.specIdx]; left != 0 {
 			s.respawnsLeft[p.specIdx] = left - 1
-			p.spec.Gen.Reset(s.seedGen.Uint64())
+			p.feed.reset(s.seedGen.Uint64())
 			s.addProc(p.spec, p.specIdx)
 		}
 	}

@@ -84,14 +84,14 @@ func TestThresholdCoinsMatchFloat(t *testing.T) {
 	type twin struct {
 		name  string
 		coin  Source
-		float func(r *sim.Rand, cpu mem.CPUID) (mem.GPage, uint8, mem.AccessKind)
+		float func(r *sim.Rand) (mem.GPage, uint8, mem.AccessKind)
 	}
 	// writeLast wraps a source built with no write fraction as the float
 	// twin of one built with writeFrac.
-	writeLast := func(s Source, writeFrac float64) func(*sim.Rand, mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
+	writeLast := func(s Source, writeFrac float64) func(*sim.Rand) (mem.GPage, uint8, mem.AccessKind) {
 		s.reset()
-		return func(r *sim.Rand, cpu mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
-			p, ln, _ := s.next(r, cpu)
+		return func(r *sim.Rand) (mem.GPage, uint8, mem.AccessKind) {
+			p, ln, _ := s.next(r)
 			return p, ln, floatKind(r, writeFrac)
 		}
 	}
@@ -109,20 +109,19 @@ func TestThresholdCoinsMatchFloat(t *testing.T) {
 			ref := &Chunk{Reg: reg, Index: idx, Total: 4, BoundaryFrac: f, WriteFrac: 0.3}
 			twins = append(twins, twin{"Chunk",
 				&Chunk{Reg: reg, Index: idx, Total: 4, BoundaryFrac: f, WriteFrac: 0.3},
-				func(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) { return floatChunkNext(ref, r) }})
+				func(r *sim.Rand) (mem.GPage, uint8, mem.AccessKind) { return floatChunkNext(ref, r) }})
 		}
 		ref := &CodeWalk{Reg: code, HotFrac: f, HotLines: 96, LoopLines: 512, JumpEvery: 300}
 		twins = append(twins, twin{"CodeWalk",
 			&CodeWalk{Reg: code, HotFrac: f, HotLines: 96, LoopLines: 512, JumpEvery: 300},
-			func(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) { return floatCodeWalkNext(ref, r) }})
+			func(r *sim.Rand) (mem.GPage, uint8, mem.AccessKind) { return floatCodeWalkNext(ref, r) }})
 	}
 	for i, tw := range twins {
 		tw.coin.reset()
 		a, b := sim.NewRand(uint64(i+1)), sim.NewRand(uint64(i+1))
 		for n := 0; n < 100000; n++ {
-			cpu := mem.CPUID(n % 4)
-			p, ln, k := tw.coin.next(a, cpu)
-			wp, wln, wk := tw.float(b, cpu)
+			p, ln, k := tw.coin.next(a)
+			wp, wln, wk := tw.float(b)
 			if p != wp || ln != wln || k != wk {
 				t.Fatalf("%s (twin %d) step %d: thresholds drew (%d, %d, %v), float coins (%d, %d, %v)",
 					tw.name, i, n, p, ln, k, wp, wln, wk)

@@ -9,7 +9,7 @@ import (
 // pattern building blocks: the sharing class of a page is determined by
 // which processes attach sources to its region and with what write mix.
 type Source interface {
-	next(r *sim.Rand, cpu mem.CPUID) (page mem.GPage, line uint8, kind mem.AccessKind)
+	next(r *sim.Rand) (page mem.GPage, line uint8, kind mem.AccessKind)
 	// reset fixes what next derives from the source's fields, such as its
 	// coin thresholds (sim.Threshold); Gen.Reset calls it before the first
 	// next.
@@ -40,7 +40,7 @@ type Sequential struct {
 
 func (s *Sequential) reset() { s.writeTh = sim.Threshold(s.WriteFrac) }
 
-func (s *Sequential) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
+func (s *Sequential) next(r *sim.Rand) (mem.GPage, uint8, mem.AccessKind) {
 	p := s.Reg.Page(s.pos / mem.LinesPerPage)
 	l := uint8(s.pos % mem.LinesPerPage)
 	s.pos++
@@ -66,7 +66,7 @@ type Window struct {
 
 func (s *Window) reset() { s.writeTh = sim.Threshold(s.WriteFrac) }
 
-func (s *Window) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
+func (s *Window) next(r *sim.Rand) (mem.GPage, uint8, mem.AccessKind) {
 	w := s.W
 	if w > s.Reg.N {
 		w = s.Reg.N
@@ -99,7 +99,7 @@ type Hot struct {
 
 func (s *Hot) reset() { s.writeTh = sim.Threshold(s.WriteFrac) }
 
-func (s *Hot) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
+func (s *Hot) next(r *sim.Rand) (mem.GPage, uint8, mem.AccessKind) {
 	i := r.Zipf(s.Reg.N)
 	if s.Stride > 1 {
 		i = (i * s.Stride) % s.Reg.N
@@ -141,7 +141,7 @@ func (s *Chunk) bounds() (lo, n int) {
 	return lo, n
 }
 
-func (s *Chunk) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
+func (s *Chunk) next(r *sim.Rand) (mem.GPage, uint8, mem.AccessKind) {
 	lo, n := s.bounds()
 	var idx int
 	if s.boundaryTh > 0 && r.Below(s.boundaryTh) {
@@ -173,7 +173,7 @@ type Sync struct {
 
 func (s *Sync) reset() { s.writeTh = sim.Threshold(s.WriteFrac) }
 
-func (s *Sync) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
+func (s *Sync) next(r *sim.Rand) (mem.GPage, uint8, mem.AccessKind) {
 	return s.Reg.Page(r.Intn(s.Reg.N)), uint8(r.Intn(mem.LinesPerPage)), kindFor(r, s.writeTh)
 }
 
@@ -181,28 +181,42 @@ func (s *Sync) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind)
 // process is running on — per-processor kernel structures (PDAs, local run
 // queues, per-node page-frame descriptors). First-touch/wiring makes these
 // local, which is why FT beats RR for kernel data (Section 8.2).
+//
+// Its draws do not depend on the CPU, so next returns the offset into the
+// CPU's slice in place of the page, and page resolves it once the CPU is
+// known (Gen defers PerCPU picks; see Ref).
 type PerCPU struct {
 	Reg       Region
 	CPUs      int
 	WriteFrac float64
 	pos       int
 	writeTh   uint64
+	idx       uint8 // the source's index in its Gen's deferred list
 }
 
 func (s *PerCPU) reset() { s.writeTh = sim.Threshold(s.WriteFrac) }
 
-func (s *PerCPU) next(r *sim.Rand, cpu mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
-	per := s.Reg.N / s.CPUs
-	if per == 0 {
-		per = 1
+func (s *PerCPU) per() int {
+	if per := s.Reg.N / s.CPUs; per > 0 {
+		return per
 	}
-	lo := int(cpu) * per % s.Reg.N
-	idx := lo + r.Intn(per)
+	return 1
+}
+
+func (s *PerCPU) next(r *sim.Rand) (mem.GPage, uint8, mem.AccessKind) {
+	off := r.Intn(s.per())
+	s.pos++
+	return mem.GPage(off), uint8(s.pos % mem.LinesPerPage), kindFor(r, s.writeTh)
+}
+
+// page is the page at offset off into cpu's slice of the region.
+func (s *PerCPU) page(cpu mem.CPUID, off mem.GPage) mem.GPage {
+	lo := int(cpu) * s.per() % s.Reg.N
+	idx := lo + int(off)
 	if idx >= s.Reg.N {
 		idx = s.Reg.N - 1
 	}
-	s.pos++
-	return s.Reg.Page(idx), uint8(s.pos % mem.LinesPerPage), kindFor(r, s.writeTh)
+	return s.Reg.Page(idx)
 }
 
 // CodeWalk emits instruction fetches. A HotFrac fraction of fetches cycle
@@ -248,7 +262,7 @@ func (s *CodeWalk) reset() {
 	}
 }
 
-func (s *CodeWalk) next(r *sim.Rand, _ mem.CPUID) (mem.GPage, uint8, mem.AccessKind) {
+func (s *CodeWalk) next(r *sim.Rand) (mem.GPage, uint8, mem.AccessKind) {
 	if s.hotTh > 0 && r.Below(s.hotTh) {
 		// base < total and hotPos < hot <= total, so one conditional
 		// subtract replaces the modulo (an idiv on every hot fetch).
@@ -314,4 +328,15 @@ func (w *weighted) pick(r *sim.Rand) Source {
 		}
 	}
 	return w.srcs[len(w.srcs)-1]
+}
+
+// draw picks a source and draws its next reference, deferring a PerCPU
+// pick's page.
+func (w *weighted) draw(r *sim.Rand) Ref {
+	src := w.pick(r)
+	ref := accessRef(src.next(r))
+	if pc, ok := src.(*PerCPU); ok {
+		ref |= fixPick | Ref(pc.idx)<<refSrcShift
+	}
+	return ref
 }
